@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import losses
+from .metrics import MetricReport, PredictionMatrix
 from .search import rng_for, train_discrete
 from .space import ModelSpec, hamming, sample_random_genotype
 from .tensor import Tape, Tensor, backward
@@ -110,18 +111,19 @@ class EigTrace:
         return "\n".join(lines) + "\n"
 
 
-def make_eig_hook(val_x, val_y, jsd_weight, tol=1e-6, max_iter=50, probe_seed=0,
+def make_eig_hook(jsd_weight, tol=1e-6, max_iter=50, probe_seed=0,
                   probe_examples=256):
-    """Per-epoch hook estimating the dominant Hessian eigenvalue.
+    """Per-epoch search hook estimating the dominant Hessian eigenvalue.
 
-    Architecture parameters are snapshotted and restored bit-exactly, so an
-    instrumented search follows the identical trajectory.
+    The probe set is the first ``probe_examples`` of the validation split
+    the searcher passes to its hook. Architecture parameters are
+    snapshotted and restored bit-exactly, so an instrumented search follows
+    the identical trajectory.
     """
     trace = EigTrace()
-    val_x = val_x[:probe_examples]
-    val_y = val_y[:probe_examples]
 
-    def hook(epoch, net, arch):
+    def hook(epoch, net, arch, val):
+        val_x, val_y = val[0][:probe_examples], val[1][:probe_examples]
         snapshot = arch.snapshot()
         point = arch.flat()
         grad = arch_loss_grad_fn(net, arch, val_x, val_y, jsd_weight)
@@ -176,6 +178,7 @@ def regret_study(bundle, base_spec: ModelSpec, m_list, samples_per_m,
     if samples_per_m < 2:
         raise ValueError("need at least 2 samples per ensemble size")
     study = RegretStudy()
+    val_x, val_y = bundle.split("val")
     for group in seed_groups:
         for m in m_list:
             spec = dataclasses.replace(base_spec, num_heads=m)
@@ -183,10 +186,9 @@ def regret_study(bundle, base_spec: ModelSpec, m_list, samples_per_m,
             for i in range(samples_per_m):
                 rng = rng_for([group, m, i], "regret-sample")
                 geno = sample_random_genotype(spec, rng)
-                _, reports, _ = train_discrete(
-                    geno, bundle, train_hp, seed=[group, m, i]
-                )
-                nlls.append(reports["val"].nll)
+                model, _ = train_discrete(geno, bundle, train_hp, seed=[group, m, i])
+                pm = PredictionMatrix(model.predict(val_x), val_y)
+                nlls.append(MetricReport.from_predictions(pm).nll)
             best = min(nlls)
             for i, v in enumerate(nlls):
                 study.rows.append(

@@ -1,10 +1,12 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage/input error, 2 runtime failure.
+Exit codes: 0 success, 1 usage/input error, 2 runtime failure (for
+``search``/``baseline``, any failed seed; the other seeds are still written).
 
 ``search`` and ``baseline`` execute the configured method end to end for
 every seed (search where applicable, final training, severity sweep).
-``train``/``eval`` operate on a stored genotype (and weights) piecewise.
+``train``/``eval`` operate on a stored genotype (and weights) piecewise and
+write the same metrics CSV, evaluated the same way.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +23,7 @@ import numpy as np
 from . import analysis, data as datamod, runner, search as searchmod
 from .config import ConfigError, ExperimentConfig, ONE_SHOT_METHODS
 from .data import DataFormatError
-from .metrics import MetricReport, PredictionMatrix, apply_shift
+from .ensembles import Ensemble
 from .space import MultiHeadGenotype
 from .supernet import DiscreteNetwork
 
@@ -153,28 +156,32 @@ def _cmd_run_method(args, expect_one_shot):
         )
     out = runner.run(cfg)
     print(f"artifacts in {out}")
-    return 0
+    failed = False
+    for seed in cfg.seeds:
+        manifest = json.loads((out / f"seed_{seed}" / "manifest.json").read_text())
+        if "error" in manifest:
+            print(f"seed {seed} failed: {manifest['error']}", file=sys.stderr)
+            failed = True
+    return 2 if failed else 0
+
+
+def _write_metrics(out, ensemble, bundle, cfg, seed, steps, wall_sec):
+    rows = runner.metric_rows(ensemble, bundle, cfg.data.seed, seed, steps, wall_sec)
+    (out / "metrics.csv").write_text(runner.metrics_csv(rows))
 
 
 def _cmd_train(args):
     cfg = _load_config(args.config)
     genotype = MultiHeadGenotype.load(args.genotype)
     bundle = runner.load_bundle(cfg.data)
-    model, reports, budget = searchmod.train_discrete(
-        genotype, bundle, cfg.train, args.seed
-    )
+    t0 = time.perf_counter()
+    model, budget = searchmod.train_discrete(genotype, bundle, cfg.train, args.seed)
+    wall = time.perf_counter() - t0
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     np.savez(out / "weights.npz", **model.state_arrays())
-    lines = [MetricReport.CSV_HEADER]
-    for split in ("train", "val", "test"):
-        lines.append(
-            reports[split].csv_row(
-                "train", args.seed, genotype.num_heads, split, 0,
-                model.param_count(), 0.0,
-            )
-        )
-    (out / "metrics.csv").write_text("\n".join(lines) + "\n")
+    ensemble = Ensemble([model], [genotype], "train")
+    _write_metrics(out, ensemble, bundle, cfg, args.seed, budget.total_steps, wall)
     with open(out / "budget.json", "w") as f:
         json.dump(budget.to_dict(), f, indent=1, sort_keys=True)
         f.write("\n")
@@ -190,29 +197,9 @@ def _cmd_eval(args):
     model = DiscreteNetwork(rng, genotype, num_classes=bundle.classes)
     with np.load(args.weights) as arrays:
         model.load_state_arrays(dict(arrays))
-    lines = [MetricReport.CSV_HEADER]
-    for split in ("train", "val"):
-        x, y = bundle.split(split)
-        rep = MetricReport.from_predictions(PredictionMatrix(model.predict(x), y))
-        lines.append(
-            rep.csv_row("eval", 0, genotype.num_heads, split, 0,
-                        model.param_count(), 0.0)
-        )
-    tx, ty = bundle.split("test")
-    for severity in range(6):
-        shifted = apply_shift(
-            tx, severity, runner.shift_seed_for(cfg.data.seed, severity)
-        )
-        rep = MetricReport.from_predictions(
-            PredictionMatrix(model.predict(shifted), ty)
-        )
-        lines.append(
-            rep.csv_row("eval", 0, genotype.num_heads, "test", severity,
-                        model.param_count(), 0.0)
-        )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "metrics.csv").write_text("\n".join(lines) + "\n")
+    _write_metrics(out, Ensemble([model], [genotype], "eval"), bundle, cfg, 0, 0, 0.0)
     print((out / "metrics.csv").read_text(), end="")
     return 0
 
@@ -222,9 +209,7 @@ def _cmd_analyze_hessian(args):
     if cfg.method not in ("pcdarts", "drnas"):
         raise UsageError("hessian tracing needs method pcdarts or drnas")
     bundle = runner.load_bundle(cfg.data)
-    rng = searchmod.rng_for(args.seed, "hessian-split")
-    (_, _), (va_x, va_y) = searchmod._split_search_data(bundle, cfg.search, rng)
-    hook, trace = analysis.make_eig_hook(va_x, va_y, cfg.search.jsd_weight)
+    hook, trace = analysis.make_eig_hook(cfg.search.jsd_weight)
     searcher = runner.SEARCHERS[cfg.method]
     genotype, _, _ = searcher(bundle, cfg.model, cfg.search, args.seed, epoch_hook=hook)
     out = Path(args.out)

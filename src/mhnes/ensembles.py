@@ -15,7 +15,7 @@ import numpy as np
 
 from . import metrics
 from .config import TrainHyperparams
-from .metrics import PredictionMatrix
+from .metrics import MetricReport, PredictionMatrix
 from .search import Budget, select_min_nll, train_discrete
 from .space import ModelSpec, sample_random_genotype
 from .supernet import DiscreteNetwork
@@ -58,10 +58,6 @@ class Ensemble:
         return sum(m.genotype.num_heads for m in self.models)
 
 
-def _member_probs(member_sets):
-    return np.concatenate(member_sets, axis=0)
-
-
 def forward_select(pool: EnsemblePool, num_members, with_replacement=False):
     """Greedy member indices minimizing ensemble validation NLL.
 
@@ -82,27 +78,19 @@ def forward_select(pool: EnsemblePool, num_members, with_replacement=False):
                 continue
             stack = [pool.members[j].val_probs for j in chosen] + [cand.val_probs]
             avg = metrics.ensemble_average(
-                PredictionMatrix(_member_probs(stack), labels)
+                PredictionMatrix(np.concatenate(stack), labels)
             )
             scores.append(metrics.nll(avg, labels))
         chosen.append(select_min_nll(scores))
     return chosen
 
 
-def _trained_member(genotype, bundle, hp, seed, tag="", label_smoothing=None):
-    model, reports, budget = train_discrete(
-        genotype, bundle, hp, seed, label_smoothing=label_smoothing
-    )
+def _trained_member(genotype, bundle, hp, seed, tag=""):
+    model, budget = train_discrete(genotype, bundle, hp, seed)
     val_x, val_y = bundle.split("val")
     probs = model.predict(val_x)
-    return (
-        PoolMember(genotype, model, probs, reports["val"].nll, tag=tag),
-        budget,
-    )
-
-
-def _single_head_spec(spec: ModelSpec):
-    return dataclasses.replace(spec, num_heads=1)
+    report = MetricReport.from_predictions(PredictionMatrix(probs, val_y))
+    return PoolMember(genotype, model, probs, report.nll, tag=tag), budget
 
 
 def build_baseline(kind, bundle, spec: ModelSpec, train_hp: TrainHyperparams,
@@ -119,103 +107,59 @@ def build_baseline(kind, bundle, spec: ModelSpec, train_hp: TrainHyperparams,
     mhe_sample: one random multi-head genotype, trained once.
     mhe_rs: best of ``pool_size`` random multi-head genotypes by
         validation NLL.
+
+    Every pool member trains from seed ``[seed, tag, i]``, where the tag
+    (1-8) names the pool; genotypes and hyperparameters come from one rng
+    in a fixed order.
     """
     rng = np.random.default_rng([int(seed), 0xBA5E])
     budget = Budget()
     m = spec.num_heads
-    single = _single_head_spec(spec)
+    single = dataclasses.replace(spec, num_heads=1)
+    val_labels = bundle.split("val")[1]
 
-    def rs_best_single_genotype(tag):
+    def sample(space, n):
+        return [sample_random_genotype(space, rng) for _ in range(n)]
+
+    def train_pool(tag, genotypes, variants=None):
         members = []
-        for i in range(pool_size):
-            geno = sample_random_genotype(single, rng)
-            member, b = _trained_member(geno, bundle, train_hp, [seed, tag, i])
+        for i, geno in enumerate(genotypes):
+            hp, label = variants[i] if variants else (train_hp, "")
+            member, b = _trained_member(geno, bundle, hp, [seed, tag, i], tag=label)
             budget.merge(b)
             members.append(member)
-        best = select_min_nll([mem.val_nll for mem in members])
-        return members, best
+        return members
+
+    def best(members):
+        return members[select_min_nll([mem.val_nll for mem in members])]
+
+    def selected(members):
+        picked = forward_select(EnsemblePool(members, val_labels), m)
+        return [members[i] for i in picked]
 
     if kind == "deepens_sample":
-        geno = sample_random_genotype(single, rng)
-        models = []
-        for i in range(m):
-            member, b = _trained_member(geno, bundle, train_hp, [seed, 1, i])
-            budget.merge(b)
-            models.append(member.model)
-        return Ensemble(models, [geno] * m, kind), budget
-
-    if kind == "deepens_rs":
-        members, best = rs_best_single_genotype(2)
-        geno = members[best].genotype
-        models = []
-        for i in range(m):
-            member, b = _trained_member(geno, bundle, train_hp, [seed, 3, i])
-            budget.merge(b)
-            models.append(member.model)
-        return Ensemble(models, [geno] * m, kind), budget
-
-    if kind == "nes_rs":
-        members = []
-        for i in range(pool_size):
-            geno = sample_random_genotype(single, rng)
-            member, b = _trained_member(geno, bundle, train_hp, [seed, 4, i])
-            budget.merge(b)
-            members.append(member)
-        pool = EnsemblePool(members, bundle.split("val")[1])
-        picked = forward_select(pool, m)
-        return (
-            Ensemble(
-                [members[i].model for i in picked],
-                [members[i].genotype for i in picked],
-                kind,
-            ),
-            budget,
-        )
-
-    if kind == "hyperdeepens_rs":
-        members, best = rs_best_single_genotype(5)
-        geno = members[best].genotype
-        smoothings = (0.0, 0.05, 0.1, 0.2)
+        chosen = train_pool(1, sample(single, 1) * m)
+    elif kind == "deepens_rs":
+        geno = best(train_pool(2, sample(single, pool_size))).genotype
+        chosen = train_pool(3, [geno] * m)
+    elif kind == "nes_rs":
+        chosen = selected(train_pool(4, sample(single, pool_size)))
+    elif kind == "hyperdeepens_rs":
+        geno = best(train_pool(5, sample(single, pool_size))).genotype
         variants = []
         for i in range(pool_size):
-            ls = smoothings[i % len(smoothings)]
+            ls = (0.0, 0.05, 0.1, 0.2)[i % 4]
             wd = float(10 ** rng.uniform(-5, -3))
-            hp_i = dataclasses.replace(
-                train_hp, weight_decay=wd, label_smoothing=ls
-            )
-            member, b = _trained_member(
-                geno, bundle, hp_i, [seed, 6, i], tag=f"ls={ls},wd={wd:.2e}"
-            )
-            budget.merge(b)
-            variants.append(member)
-        pool = EnsemblePool(variants, bundle.split("val")[1])
-        picked = forward_select(pool, m)
-        return (
-            Ensemble(
-                [variants[i].model for i in picked],
-                [variants[i].genotype for i in picked],
-                kind,
-            ),
-            budget,
-        )
-
-    if kind == "mhe_sample":
-        geno = sample_random_genotype(spec, rng)
-        member, b = _trained_member(geno, bundle, train_hp, [seed, 7, 0])
-        budget.merge(b)
-        return Ensemble([member.model], [geno], kind), budget
-
-    if kind == "mhe_rs":
-        members = []
-        for i in range(pool_size):
-            geno = sample_random_genotype(spec, rng)
-            member, b = _trained_member(geno, bundle, train_hp, [seed, 8, i])
-            budget.merge(b)
-            members.append(member)
-        best = select_min_nll([mem.val_nll for mem in members])
-        return (
-            Ensemble([members[best].model], [members[best].genotype], kind),
-            budget,
-        )
-
-    raise ValueError(f"unknown baseline kind {kind!r}")
+            hp = dataclasses.replace(train_hp, weight_decay=wd, label_smoothing=ls)
+            variants.append((hp, f"ls={ls},wd={wd:.2e}"))
+        chosen = selected(train_pool(6, [geno] * pool_size, variants))
+    elif kind == "mhe_sample":
+        chosen = train_pool(7, sample(spec, 1))
+    elif kind == "mhe_rs":
+        chosen = [best(train_pool(8, sample(spec, pool_size)))]
+    else:
+        raise ValueError(f"unknown baseline kind {kind!r}")
+    return (
+        Ensemble([c.model for c in chosen], [c.genotype for c in chosen], kind),
+        budget,
+    )

@@ -11,9 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
+from .metrics import PROB_FLOOR
 from .tensor import Tensor
-
-PROB_FLOOR = 1e-12
 
 
 def ensemble_average(head_probs):

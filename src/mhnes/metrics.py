@@ -130,15 +130,6 @@ class MetricReport:
             member_error=tuple(error(p, pm.labels) for p in pm.probs),
         )
 
-    def csv_row(self, method, seed, num_members, split, severity, params, search_hours):
-        return (
-            f"{method},{seed},{num_members},{split},{severity},"
-            f"{self.nll:.6f},{self.error:.6f},{self.ece:.6f},"
-            f"{self.oracle_nll:.6f},{params},{search_hours:.6f}"
-        )
-
-    CSV_HEADER = "method,seed,M,split,severity,nll,error,ece,oracle_nll,params,search_hours"
-
 
 def apply_shift(images, severity, rng_seed):
     """Contrast compression plus Gaussian pixel noise, clipped to [0,1].

@@ -96,7 +96,7 @@ def run_seed(config: ExperimentConfig, bundle, seed, seed_dir: Path):
         genotype, budget, _ = SEARCHERS[method](
             bundle, config.model, config.search, seed
         )
-        model, _, train_budget = searchmod.train_discrete(
+        model, train_budget = searchmod.train_discrete(
             genotype, bundle, config.train, seed
         )
         budget.merge(train_budget)
@@ -135,25 +135,31 @@ def run_seed(config: ExperimentConfig, bundle, seed, seed_dir: Path):
         f.write("\n")
 
     wall = time.perf_counter() - t0
-    rows = []
-    for split, severity, report in evaluate_ensemble(ensemble, bundle, config.data.seed):
-        rows.append(
-            {
-                "method": method,
-                "seed": seed,
-                "M": ensemble.num_members,
-                "split": split,
-                "severity": severity,
-                "nll": report.nll,
-                "error": report.error,
-                "ece": report.ece,
-                "oracle_nll": report.oracle_nll,
-                "params": ensemble.param_count(),
-                "steps": budget.total_steps,
-                "wall_sec": wall,
-            }
-        )
-    return rows, wall
+    steps = budget.total_steps
+    return metric_rows(ensemble, bundle, config.data.seed, seed, steps, wall), wall
+
+
+def metric_rows(ensemble: Ensemble, bundle, data_seed, seed, steps, wall_sec):
+    """One metrics-CSV row (a dict keyed by ``CSV_HEADER``) per evaluated
+    split and severity of ``ensemble``."""
+    params = ensemble.param_count()
+    return [
+        {
+            "method": ensemble.method,
+            "seed": seed,
+            "M": ensemble.num_members,
+            "split": split,
+            "severity": severity,
+            "nll": report.nll,
+            "error": report.error,
+            "ece": report.ece,
+            "oracle_nll": report.oracle_nll,
+            "params": params,
+            "steps": steps,
+            "wall_sec": wall_sec,
+        }
+        for split, severity, report in evaluate_ensemble(ensemble, bundle, data_seed)
+    ]
 
 
 def _fmt_count(v):
@@ -190,6 +196,11 @@ def _aggregate_rows(rows, method):
                 }
             )
     return out
+
+
+def metrics_csv(rows):
+    """The metrics-CSV text: ``CSV_HEADER``, then one line per row."""
+    return "\n".join([CSV_HEADER] + [_format_row(r) for r in rows]) + "\n"
 
 
 def run(config: ExperimentConfig):
@@ -238,9 +249,7 @@ def run(config: ExperimentConfig):
             json.dump(manifest, f, indent=1, sort_keys=True)
             f.write("\n")
 
-    lines = [CSV_HEADER]
-    lines += [_format_row(r) for r in all_rows]
     if all_rows:
-        lines += [_format_row(r) for r in _aggregate_rows(all_rows, config.method)]
-    (out / "metrics.csv").write_text("\n".join(lines) + "\n")
+        all_rows += _aggregate_rows(all_rows, config.method)
+    (out / "metrics.csv").write_text(metrics_csv(all_rows))
     return out

@@ -3,7 +3,9 @@
 All methods are pure functions of (data, spec, hyperparams, seed): rngs are
 derived from the seed plus a fixed tag, so repeated runs are bit-identical.
 Budgets count optimization iterations; one bilevel iteration (an architecture
-update plus a weight update) is one step.
+update plus a weight update) is one step. A searcher's optional
+``epoch_hook(epoch, net, arch, (val_x, val_y))`` runs after every search
+epoch and receives the searcher's own validation split.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from . import losses
 from .config import SearchHyperparams, TrainHyperparams
-from .metrics import MetricReport, PredictionMatrix
+from .metrics import PredictionMatrix
 from .optim import SGD, Adam, cosine_lr
 from .space import ModelSpec, MultiHeadGenotype, sample_random_genotype
 from .supernet import ArchParams, DiscreteNetwork, Supernet, discretize
@@ -147,7 +149,7 @@ def _run_bilevel_phase(net, arch, hp, epochs, warmstart, data_split, rng,
             )
             steps += 1
         if epoch_hook is not None:
-            epoch_hook(epoch, net, arch)
+            epoch_hook(epoch, net, arch, (va_x, va_y))
     return steps
 
 
@@ -262,7 +264,7 @@ def randomnas_search(bundle, spec: ModelSpec, hp: SearchHyperparams, seed,
             )
             steps += 1
         if epoch_hook is not None:
-            epoch_hook(epoch, net, arch)
+            epoch_hook(epoch, net, arch, (va_x, va_y))
     budget.add("search", steps)
 
     if hp.eval_examples:
@@ -274,15 +276,15 @@ def randomnas_search(bundle, spec: ModelSpec, hp: SearchHyperparams, seed,
 
 
 def train_discrete(genotype: MultiHeadGenotype, bundle, hp: TrainHyperparams,
-                   seed, label_smoothing=None, loss_log=None):
+                   seed, loss_log=None):
     """Train a discrete network from fresh He-initialized parameters.
 
-    Returns the model, per-split MetricReports at severity 0, and the budget.
-    ``loss_log``, when given, collects the mean training loss of each epoch.
+    Returns ``(model, budget)`` and predicts nothing: callers predict the
+    splits they need. ``loss_log``, when given, collects the mean training
+    loss of each epoch.
     """
     rng = rng_for(seed, "train")
-    ls = hp.label_smoothing if label_smoothing is None else label_smoothing
-    net = DiscreteNetwork(rng, genotype, num_classes=_bundle_classes(bundle))
+    net = DiscreteNetwork(rng, genotype, num_classes=bundle.classes)
     opt = SGD(
         net.parameters(), lr=hp.lr, momentum=hp.momentum, weight_decay=hp.weight_decay
     )
@@ -296,7 +298,7 @@ def train_discrete(genotype: MultiHeadGenotype, bundle, hp: TrainHyperparams,
                 probs = net(Tensor(tr_x[idx]))
                 loss = losses.ensemble_train_loss(
                     probs, losses.ensemble_average(probs), tr_y[idx],
-                    label_smoothing=ls,
+                    label_smoothing=hp.label_smoothing,
                 )
                 opt.zero_grad()
                 backward(loss)
@@ -307,17 +309,7 @@ def train_discrete(genotype: MultiHeadGenotype, bundle, hp: TrainHyperparams,
             loss_log.append(float(np.mean(epoch_losses)))
     budget = Budget()
     budget.add("train", steps)
-    reports = {}
-    for split in ("train", "val", "test"):
-        x, y = bundle.split(split)
-        reports[split] = MetricReport.from_predictions(
-            PredictionMatrix(net.predict(x), y)
-        )
-    return net, reports, budget
-
-
-def _bundle_classes(bundle):
-    return bundle.classes
+    return net, budget
 
 
 # ---------------------------------------------------------------------------

@@ -347,8 +347,6 @@ OP_BUILDERS = {
     "batch_mix_b": lambda rng, c, stride, track: BatchMix(3, stride),
 }
 
-PLANTED_OPS = ("skip_connect", "batch_mix_a", "batch_mix_b")
-
 
 def build_op(name, rng, c, stride, track=False):
     if name not in OP_BUILDERS:

@@ -109,7 +109,7 @@ class ArchParams:
 
 
 class MixedEdge(nn.Module):
-    """All candidate operations on one edge, combined by given weights."""
+    """Candidate operations on one edge, mixed by given weights or picked by name."""
 
     def __init__(self, rng, ops, c, stride, k=1, track=False):
         super().__init__()
@@ -118,22 +118,23 @@ class MixedEdge(nn.Module):
         self.k = k
         self.c = c
         self.stride = stride
+        self.names = tuple(ops)
         self.ops = nn.ModuleList(
             [build_op(name, rng, c // k, stride, track) for name in ops]
         )
 
-    def _through_ops(self, x, w_row=None, op_idx=None):
-        if op_idx is not None:
-            return self.ops[op_idx](x)
-        return T.weighted_sum([op(x) for op in self.ops], w_row)
+    def _through_ops(self, x, w_row=None, op=None):
+        if op is not None:
+            return self.ops[self.names.index(op)](x)
+        return T.weighted_sum([o(x) for o in self.ops], w_row)
 
-    def forward(self, x, w_row=None, op_idx=None):
+    def forward(self, x, w_row=None, op=None):
         if self.k == 1:
-            return self._through_ops(x, w_row, op_idx)
+            return self._through_ops(x, w_row, op)
         c1 = self.c // self.k
         x1 = T.narrow(x, 1, 0, c1)
         x2 = T.narrow(x, 1, c1, self.c - c1)
-        y1 = self._through_ops(x1, w_row, op_idx)
+        y1 = self._through_ops(x1, w_row, op)
         y2 = T.subsample2(x2) if self.stride == 2 else x2
         return T.channel_shuffle(T.concat([y1, y2], axis=1), self.k)
 
@@ -141,7 +142,15 @@ class MixedEdge(nn.Module):
 
 
 class MixedCell(nn.Module):
-    def __init__(self, rng, spec: ModelSpec, ops, c_in, c, reduction, k=1, track=False):
+    """Cell DAG whose edge ``e`` holds the candidate operations ``edge_ops[e]``.
+
+    A supernet cell puts the head's whole operation list on every edge; a
+    discrete cell puts the one chosen operation on each chosen edge and none
+    on the others.
+    """
+
+    def __init__(self, rng, spec: ModelSpec, edge_ops, c_in, c, reduction, k=1,
+                 track=False):
         super().__init__()
         self.spec = spec
         self.reduction = reduction
@@ -149,11 +158,11 @@ class MixedCell(nn.Module):
             [nn.ReluConvNorm(rng, c_in, c, 1, track=track) for _ in range(2)]
         )
         self.edges = nn.ModuleList()
-        for i, _j in spec.edges():
+        for (i, _j), ops in zip(spec.edges(), edge_ops):
             stride = 2 if (reduction and i < 2) else 1
             self.edges.append(MixedEdge(rng, ops, c, stride, k, track))
 
-    def forward(self, x, table=None, betas=None, cell_genotype=None, ops=None):
+    def forward(self, x, table=None, betas=None, cell_genotype=None):
         """Mixture forward when ``table`` is given, masked single-op forward
         when ``cell_genotype`` is given (only chosen edges are evaluated)."""
         states = [self.pre[0](x), self.pre[1](x)]
@@ -162,8 +171,7 @@ class MixedCell(nn.Module):
                 start, _ = self.spec.node_edge_range(choice.node)
                 acc = None
                 for src, op_name in zip(choice.inputs, choice.ops):
-                    e = start + src
-                    out = self.edges[e](states[src], op_idx=ops.index(op_name))
+                    out = self.edges[start + src](states[src], op=op_name)
                     acc = out if acc is None else T.add(acc, out)
                 states.append(acc)
         else:
@@ -185,6 +193,10 @@ class MixedCell(nn.Module):
         return T.concat(states[2:], axis=1)
 
     __call__ = forward
+
+
+# The benchmark's tracer (perfbench/child.py) wraps ``supernet.DiscreteCell``.
+DiscreteCell = MixedCell
 
 
 class ResidualBlock(nn.Module):
@@ -233,21 +245,19 @@ class Backbone(nn.Module):
 
 
 class _HeadStack(nn.Module):
-    def __init__(self, rng, spec, ops, c_in, k, track):
+    def __init__(self, rng, spec, edge_ops, c_in, k, track):
         super().__init__()
         c = spec.head_width
         cells = []
         for ci in range(spec.cells_per_head):
-            cells.append(
-                MixedCell(rng, spec, ops, c_in, c, reduction=(ci == 0), k=k, track=track)
-            )
+            cells.append(MixedCell(rng, spec, edge_ops, c_in, c, ci == 0, k, track))
             c_in = spec.nodes * c
         self.cells = nn.ModuleList(cells)
         self.classifier = nn.Linear(rng, spec.nodes * c, spec.num_classes)
 
-    def forward(self, x, table=None, betas=None, cell_genotype=None, ops=None):
+    def forward(self, x, table=None, betas=None, cell_genotype=None):
         for cell in self.cells:
-            x = cell(x, table, betas, cell_genotype, ops)
+            x = cell(x, table, betas, cell_genotype)
         pooled = x.mean(axis=(2, 3))
         return T.softmax(self.classifier(pooled), axis=1)
 
@@ -265,13 +275,13 @@ class Supernet(nn.Module):
         self.backbone = Backbone(rng, spec)
         self.heads = nn.ModuleList(
             [
-                _HeadStack(rng, spec, arch.head_ops[h], spec.backbone_width, k, False)
+                _HeadStack(
+                    rng, spec, [arch.head_ops[h]] * spec.num_edges,
+                    spec.backbone_width, k, False,
+                )
                 for h in range(spec.num_heads)
             ]
         )
-
-    def weight_parameters(self):
-        return self.parameters()
 
     def forward(self, x, mode="continuous", genotype=None, mix_tables=None, rng=None):
         """Per-head class-probability matrices for a batch.
@@ -292,13 +302,7 @@ class Supernet(nn.Module):
             if genotype is None:
                 raise ValueError(f"{mode} forward needs a genotype")
             for h, head in enumerate(self.heads):
-                out.append(
-                    head(
-                        feats,
-                        cell_genotype=genotype.heads[h],
-                        ops=self.arch.head_ops[h],
-                    )
-                )
+                out.append(head(feats, cell_genotype=genotype.heads[h]))
         else:
             raise ValueError(f"unknown forward mode {mode!r}")
         return out
@@ -306,7 +310,12 @@ class Supernet(nn.Module):
     __call__ = forward
 
     def predict(self, images, genotype=None, mode="continuous", batch=256):
-        """Stacked per-head probabilities [M, N, C] without recording."""
+        """Stacked per-head probabilities [M, N, C] without recording.
+
+        Supernet norms always use batch statistics, so each example's output
+        depends on the other examples of its ``batch``-sized chunk: results
+        change with the chunk size.
+        """
         chunks = []
         with T.no_grad():
             for lo in range(0, len(images), batch):
@@ -317,41 +326,24 @@ class Supernet(nn.Module):
         return np.concatenate(chunks, axis=1)
 
 
-class DiscreteCell(nn.Module):
-    def __init__(self, rng, genotype: MultiHeadGenotype, cell_genotype, c_in, c, reduction, track=True):
-        super().__init__()
-        self.pre = nn.ModuleList(
-            [nn.ReluConvNorm(rng, c_in, c, 1, track=track) for _ in range(2)]
-        )
-        self.choices = cell_genotype
-        ops = []
-        for choice in cell_genotype:
-            for src, op_name in zip(choice.inputs, choice.ops):
-                stride = 2 if (reduction and src < 2) else 1
-                ops.append(build_op(op_name, rng, c, stride, track))
-        self.op_modules = nn.ModuleList(ops)
-
-    def forward(self, x):
-        states = [self.pre[0](x), self.pre[1](x)]
-        oi = 0
-        for choice in self.choices:
-            acc = None
-            for src in choice.inputs:
-                out = self.op_modules[oi](states[src])
-                oi += 1
-                acc = out if acc is None else T.add(acc, out)
-            states.append(acc)
-        return T.concat(states[2:], axis=1)
-
-    __call__ = forward
+def _chosen_edge_ops(spec: ModelSpec, cell_genotype):
+    """Per-edge operation tuples: the chosen op on chosen edges, none elsewhere."""
+    edge_ops = [()] * spec.num_edges
+    for choice in cell_genotype:
+        start, _ = spec.node_edge_range(choice.node)
+        for src, op_name in zip(choice.inputs, choice.ops):
+            edge_ops[start + src] = (op_name,)
+    return edge_ops
 
 
 class DiscreteNetwork(nn.Module):
     """Standalone multi-headed network built from a genotype.
 
-    Normalization tracks running statistics (used in eval mode); training
-    always initializes fresh parameters — no weights are inherited from a
-    supernetwork.
+    The supernet's backbone and head modules, with one operation on each
+    chosen edge. ``forward`` and ``predict`` stay defined on this class,
+    where the benchmark's tracer looks them up. Normalization tracks
+    running statistics (used in eval mode); training always initializes
+    fresh parameters — no weights are inherited from a supernetwork.
     """
 
     def __init__(self, rng, genotype: MultiHeadGenotype, num_classes, in_channels=1, track=True):
@@ -371,33 +363,22 @@ class DiscreteNetwork(nn.Module):
         )
         self.spec = spec
         self.backbone = Backbone(rng, spec, track=track)
-        heads = []
-        classifiers = []
-        for cell_genotype in genotype.heads:
-            c_in, c = spec.backbone_width, spec.head_width
-            cells = []
-            for ci in range(spec.cells_per_head):
-                cells.append(
-                    DiscreteCell(
-                        rng, genotype, cell_genotype, c_in, c, reduction=(ci == 0), track=track
-                    )
+        self.heads = nn.ModuleList(
+            [
+                _HeadStack(
+                    rng, spec, _chosen_edge_ops(spec, cell_genotype),
+                    spec.backbone_width, 1, track,
                 )
-                c_in = spec.nodes * c
-            heads.append(nn.ModuleList(cells))
-            classifiers.append(nn.Linear(rng, spec.nodes * c, num_classes))
-        self.heads = nn.ModuleList(heads)
-        self.classifiers = nn.ModuleList(classifiers)
+                for cell_genotype in genotype.heads
+            ]
+        )
 
     def forward(self, x):
-        x = T.as_tensor(x)
-        feats = self.backbone(x)
-        out = []
-        for cells, clf in zip(self.heads, self.classifiers):
-            s = feats
-            for cell in cells:
-                s = cell(s)
-            out.append(T.softmax(clf(s.mean(axis=(2, 3))), axis=1))
-        return out
+        feats = self.backbone(T.as_tensor(x))
+        return [
+            head(feats, cell_genotype=cell_genotype)
+            for head, cell_genotype in zip(self.heads, self.genotype.heads)
+        ]
 
     __call__ = forward
 

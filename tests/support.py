@@ -1,34 +1,36 @@
 """Shared helpers for the test suite."""
 
+import re
+
 import numpy as np
+
+
+# supernet key of one edge op: (prefix, head, edge, op index, rest)
+_EDGE_OP_KEY = re.compile(r"(heads\.(\d+)\.cells\.\d+\.edges\.(\d+)\.ops\.)(\d+)(\..*)")
 
 
 def supernet_as_discrete_arrays(sup, spec, geno):
     """Map supernet parameters onto the matching DiscreteNetwork state dict.
 
-    Backbone, per-head preprocessing, the genotype's chosen operations, and
-    classifiers line up one-to-one when the discrete network is built from
-    the same genotype (k=1 supernet, track=False discrete norms).
+    Both networks are built from the same head module, so every key lines
+    up except edge ops: the chosen op ``o`` of edge ``e`` is
+    ``edges.e.ops.o`` in the supernet and ``edges.e.ops.0`` in the discrete
+    network, and ops that were not chosen are dropped (k=1 supernet,
+    track=False discrete norms).
     """
+    chosen = set()
+    for h, cell in enumerate(geno.heads):
+        for choice in cell:
+            start, _ = spec.node_edge_range(choice.node)
+            for src, op_name in zip(choice.inputs, choice.ops):
+                chosen.add((h, start + src, spec.ops.index(op_name)))
     arrays = {}
-    arrays.update(sup.backbone.state_arrays("backbone."))
-    for h in range(spec.num_heads):
-        arrays.update(
-            sup.heads[h].classifier.state_arrays(f"classifiers.{h}.")
-        )
-        for ci, sup_cell in enumerate(sup.heads[h].cells):
-            prefix = f"heads.{h}.{ci}."
-            arrays.update(sup_cell.pre[0].state_arrays(prefix + "pre.0."))
-            arrays.update(sup_cell.pre[1].state_arrays(prefix + "pre.1."))
-            oi = 0
-            for choice in geno.heads[h]:
-                start, _ = spec.node_edge_range(choice.node)
-                for src, op_name in zip(choice.inputs, choice.ops):
-                    op = sup_cell.edges[start + src].ops[spec.ops.index(op_name)]
-                    arrays.update(
-                        op.state_arrays(prefix + f"op_modules.{oi}.")
-                    )
-                    oi += 1
+    for key, value in sup.state_arrays().items():
+        m = _EDGE_OP_KEY.fullmatch(key)
+        if m is None:
+            arrays[key] = value
+        elif (int(m[2]), int(m[3]), int(m[4])) in chosen:
+            arrays[m[1] + "0" + m[5]] = value
     return arrays
 
 

@@ -7,6 +7,7 @@ from mhnes import analysis, search
 from mhnes.analysis import EigTrace, dominant_eig, hamming_matrix, hvp_fd, regret_study
 from mhnes.config import SearchHyperparams, TrainHyperparams
 from mhnes.data import gen_synthetic
+from mhnes.metrics import MetricReport, PredictionMatrix
 from mhnes.space import ModelSpec, sample_random_genotype
 
 
@@ -125,9 +126,7 @@ class TestEigTraceHook:
             epochs=2, batch=32, warmstart_epochs=1, partial_k=2, eval_samples=2
         )
         plain, _, arch_plain = search.pcdarts_search(bundle, spec, hp, seed=0)
-        rng = search.rng_for(0, "probe-split")
-        (_, _), (va_x, va_y) = search._split_search_data(bundle, hp, rng)
-        hook, trace = analysis.make_eig_hook(va_x, va_y, hp.jsd_weight, max_iter=5)
+        hook, trace = analysis.make_eig_hook(hp.jsd_weight, max_iter=5)
         traced, _, arch_traced = search.pcdarts_search(
             bundle, spec, hp, seed=0, epoch_hook=hook
         )
@@ -135,6 +134,39 @@ class TestEigTraceHook:
         for a, b in zip(arch_plain.tensors(), arch_traced.tensors()):
             np.testing.assert_array_equal(a.data, b.data)
         assert len(trace.entries) == hp.epochs
+
+    @pytest.mark.parametrize("method", ["pcdarts", "drnas"])
+    def test_probe_uses_the_searchers_val_split(self, method, monkeypatch):
+        bundle = gen_synthetic(
+            classes=3, n_train=64, n_val=16, n_test=16, image_size=16, seed=4
+        )
+        spec = ModelSpec(
+            num_classes=3, num_heads=1, cells_per_head=1, nodes=1,
+            ops=("skip_connect", "avg_pool_3x3"), backbone_width=4, head_width=4,
+        )
+        hp = SearchHyperparams(
+            epochs=1, batch=32, warmstart_epochs=0, partial_k=2,
+            drnas_stage_epochs=1, drnas_warmstart_epochs=0, drnas_stage2_k=1,
+            drnas_keep_ops=1,
+        )
+        probed = []
+        real = analysis.arch_loss_grad_fn
+
+        def recording(net, arch, val_x, val_y, jsd_weight):
+            probed.append((val_x, val_y))
+            return real(net, arch, val_x, val_y, jsd_weight)
+
+        monkeypatch.setattr(analysis, "arch_loss_grad_fn", recording)
+        hook, _ = analysis.make_eig_hook(hp.jsd_weight, max_iter=1, probe_examples=20)
+        searcher = {"pcdarts": search.pcdarts_search, "drnas": search.drnas_search}
+        searcher[method](bundle, spec, hp, seed=3, epoch_hook=hook)
+        _, (va_x, va_y) = search._split_search_data(
+            bundle, hp, search.rng_for(3, method)
+        )
+        assert probed and len(va_y) > 20
+        for x, y in probed:
+            np.testing.assert_array_equal(x, va_x[:20])
+            np.testing.assert_array_equal(y, va_y[:20])
 
 
 @pytest.fixture(scope="module")
@@ -176,9 +208,13 @@ class TestRegretStudy:
         )
         hp = TrainHyperparams(epochs=1, batch=32)
         geno = sample_random_genotype(spec, np.random.default_rng(0))
-        _, ra, _ = search.train_discrete(geno, bundle, hp, seed=[5, 5])
-        _, rb, _ = search.train_discrete(geno, bundle, hp, seed=[5, 5])
-        assert ra["val"].nll == rb["val"].nll
+        val_x, val_y = bundle.split("val")
+        nlls = []
+        for _ in range(2):
+            model, _ = search.train_discrete(geno, bundle, hp, seed=[5, 5])
+            pm = PredictionMatrix(model.predict(val_x), val_y)
+            nlls.append(MetricReport.from_predictions(pm).nll)
+        assert nlls[0] == nlls[1]
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):

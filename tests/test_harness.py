@@ -127,6 +127,28 @@ class TestRunArtifacts:
         rows = (out / "metrics.csv").read_text().strip().splitlines()[1:]
         assert all(r.split(",")[1] in ("0", "mean", "std") for r in rows)
 
+    @pytest.mark.parametrize("command,method", [("search", "randomnas"),
+                                                ("baseline", "mhe_sample")])
+    def test_failed_seed_exits_two_and_keeps_the_others(
+        self, tmp_path, monkeypatch, capsys, command, method
+    ):
+        real = runner.run_seed
+
+        def boom(config, bundle, seed, seed_dir):
+            if seed == 1:
+                raise RuntimeError("induced failure")
+            return real(config, bundle, seed, seed_dir)
+
+        monkeypatch.setattr(runner, "run_seed", boom)
+        p = tmp_path / "c.json"
+        out = tmp_path / "run"
+        p.write_text(json.dumps(tiny_config_dict(method=method, out=str(out))))
+        assert cli.main([command, "--config", str(p)]) == 2
+        assert "seed 1 failed: RuntimeError: induced failure" in capsys.readouterr().err
+        assert (out / "seed_0" / "genotype.json").exists()
+        rows = (out / "metrics.csv").read_text().strip().splitlines()[1:]
+        assert rows and all(r.split(",")[1] in ("0", "mean", "std") for r in rows)
+
     def test_mismatched_classes_rejected(self, tmp_path):
         d = tiny_config_dict(out=str(tmp_path / "m"))
         d["model"]["num_classes"] = 4
@@ -216,6 +238,44 @@ class TestCli:
         assert float(drnas["nll_std"]) == pytest.approx(np.std([0.5, 0.7]))
         nes = dict(zip(out[0].split(","), out[2].split(",")))
         assert float(nes["error_mean"]) == pytest.approx(0.2)
+
+    def test_train_and_eval_csvs_feed_report(self, tmp_path, capsys):
+        from mhnes.space import ModelSpec, sample_random_genotype
+
+        d = tiny_config_dict()
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(d))
+        spec = ModelSpec(**{**d["model"], "ops": tuple(d["model"]["ops"])})
+        geno = tmp_path / "g.json"
+        sample_random_genotype(spec, np.random.default_rng(0)).save(geno)
+        tr, ev = tmp_path / "t", tmp_path / "e"
+        assert cli.main(["train", "--config", str(cfg), "--genotype", str(geno),
+                         "--seed", "3", "--out", str(tr)]) == 0
+        assert cli.main(["eval", "--config", str(cfg), "--genotype", str(geno),
+                         "--weights", str(tr / "weights.npz"), "--out", str(ev)]) == 0
+        budget = json.loads((tr / "budget.json").read_text())
+        tables = []
+        for out in (tr, ev):
+            lines = (out / "metrics.csv").read_text().strip().splitlines()
+            assert lines[0] == runner.CSV_HEADER
+            rows = [dict(zip(lines[0].split(","), l.split(","))) for l in lines[1:]]
+            assert len(rows) == 8
+            assert [(r["split"], r["severity"]) for r in rows] == (
+                [("train", "0"), ("val", "0")] + [("test", str(s)) for s in range(6)]
+            )
+            tables.append(rows)
+        train_rows, eval_rows = tables
+        assert {r["steps"] for r in train_rows} == {str(budget["total_steps"])}
+        assert {(r["method"], r["seed"], r["steps"]) for r in eval_rows} == {
+            ("eval", "0", "0")
+        }
+        for a, b in zip(train_rows, eval_rows):  # same weights, same evaluation
+            for k in ("M", "nll", "error", "ece", "oracle_nll", "params"):
+                assert a[k] == b[k]
+        capsys.readouterr()
+        for out in (tr, ev):
+            assert cli.main(["report", "--csv", str(out / "metrics.csv")]) == 0
+            assert capsys.readouterr().out.startswith("method,M,")
 
     def test_analyze_hamming_requires_inputs(self, capsys):
         assert cli.main(["analyze", "hamming", "--out", "x"]) == 1

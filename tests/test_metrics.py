@@ -178,14 +178,6 @@ class TestMetricReport:
         assert len(rep.member_nll) == 3
         assert rep.oracle_nll <= min(rep.member_nll) + 1e-12
 
-    def test_csv_row_field_order(self):
-        rng = np.random.default_rng(6)
-        rep = MetricReport.from_predictions(random_pm(rng, 2, 20, 3))
-        row = rep.csv_row("drnas", 1, 2, "test", 0, 1234, 0.25)
-        fields = row.split(",")
-        assert fields[:5] == ["drnas", "1", "2", "test", "0"]
-        assert len(fields) == len(MetricReport.CSV_HEADER.split(","))
-
     def test_purity(self):
         rng = np.random.default_rng(7)
         pm = random_pm(rng, 2, 30, 4)
@@ -250,7 +242,7 @@ class TestApplyShift:
             for _ in range(2)
         )
         geno = genotype_from_spec(spec, heads)
-        model, _, _ = search.train_discrete(
+        model, _ = search.train_discrete(
             geno, bundle, TrainHyperparams(epochs=10, batch=128), seed=0
         )
         tx, ty = bundle.split("test")

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from support import supernet_as_discrete_arrays
 
 from mhnes import tensor as T
 from mhnes.dirichlet import sample_simplex_rows
@@ -153,25 +154,21 @@ class TestSupernetForward:
         arch = ArchParams(spec, "plain", rng)
         sup = Supernet(np.random.default_rng(12), spec, arch, k=1)
         net = DiscreteNetwork(np.random.default_rng(13), geno, spec.num_classes, track=False)
-        # share parameters: backbone, preprocessing, chosen ops, classifier
-        copy_matching_params(sup.backbone, net.backbone)
-        for h in range(spec.num_heads):
-            copy_matching_params(sup.heads[h].classifier, net.classifiers[h])
-            for ci, cell in enumerate(net.heads[h]):
-                sup_cell = sup.heads[h].cells[ci]
-                copy_matching_params(sup_cell.pre[0], cell.pre[0])
-                copy_matching_params(sup_cell.pre[1], cell.pre[1])
-                oi = 0
-                for choice in geno.heads[h]:
-                    start, _ = spec.node_edge_range(choice.node)
-                    for src, op_name in zip(choice.inputs, choice.ops):
-                        sup_op = sup_cell.edges[start + src].ops[spec.ops.index(op_name)]
-                        copy_matching_params(sup_op, cell.op_modules[oi])
-                        oi += 1
+        net.load_state_arrays(supernet_as_discrete_arrays(sup, spec, geno))
         x = np.random.default_rng(14).normal(size=(4, 1, 16, 16))
         got = sup.predict(x, genotype=geno, mode="discrete")
         want = np.stack([p.data for p in net(Tensor(x))])
         assert np.abs(got - want).max() < 1e-10
+
+    def test_predict_depends_on_chunk_size(self):
+        # supernet norms use batch statistics: a chunk is normalized on its own
+        net, _ = self._net()
+        x = np.random.default_rng(15).normal(size=(8, 1, 16, 16))
+        whole = net.predict(x, batch=len(x))
+        chunked = net.predict(x, batch=3)
+        assert np.abs(whole - chunked).max() > 1e-6
+        np.testing.assert_array_equal(chunked[:, :3], net.predict(x[:3], batch=3))
+        np.testing.assert_array_equal(whole, net.predict(x))
 
     def test_discrete_param_count_below_supernet(self):
         for seed in range(3):
