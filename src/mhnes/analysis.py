@@ -16,9 +16,8 @@ import numpy as np
 
 from . import losses
 from .metrics import MetricReport, PredictionMatrix
-from .search import rng_for, train_discrete
+from .search import loss_backward, rng_for, train_discrete
 from .space import ModelSpec, hamming, sample_random_genotype
-from .tensor import Tape, Tensor, backward
 
 
 def hvp_fd(grad_fn, point, v, eps=None):
@@ -75,18 +74,15 @@ def arch_loss_grad_fn(net, arch, val_x, val_y, jsd_weight):
     the probed surface is noise-free. The caller must restore the original
     parameters afterwards.
     """
-    x = Tensor(val_x)
 
     def grad(vec):
         arch.set_flat(vec)
         for t in arch.tensors():
             t.grad = None
-        with Tape():
-            probs = net(x, mode="continuous")
-            loss = losses.arch_val_loss(
-                probs, losses.ensemble_average(probs), val_y, jsd_weight
-            )
-            backward(loss)
+        loss_backward(
+            net, lambda p, avg, y: losses.arch_val_loss(p, avg, y, jsd_weight),
+            val_x, val_y, mode="continuous",
+        )
         return np.concatenate(
             [
                 (t.grad if t.grad is not None else np.zeros_like(t.data)).reshape(-1)
@@ -116,15 +112,14 @@ def make_eig_hook(jsd_weight, tol=1e-6, max_iter=50, probe_seed=0,
     """Per-epoch search hook estimating the dominant Hessian eigenvalue.
 
     The probe set is the first ``probe_examples`` of the validation split
-    the searcher passes to its hook. Architecture parameters are
-    snapshotted and restored bit-exactly, so an instrumented search follows
-    the identical trajectory.
+    the searcher passes to its hook. Architecture parameters are restored
+    bit-exactly from their flat copy, so an instrumented search follows the
+    identical trajectory.
     """
     trace = EigTrace()
 
     def hook(epoch, net, arch, val):
         val_x, val_y = val[0][:probe_examples], val[1][:probe_examples]
-        snapshot = arch.snapshot()
         point = arch.flat()
         grad = arch_loss_grad_fn(net, arch, val_x, val_y, jsd_weight)
         est = dominant_eig(
@@ -134,7 +129,7 @@ def make_eig_hook(jsd_weight, tol=1e-6, max_iter=50, probe_seed=0,
             max_iter=max_iter,
             seed=probe_seed,
         )
-        arch.restore(snapshot)
+        arch.set_flat(point)
         trace.append(epoch, est)
 
     return hook, trace

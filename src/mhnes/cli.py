@@ -182,9 +182,9 @@ def _cmd_train(args):
     np.savez(out / "weights.npz", **model.state_arrays())
     ensemble = Ensemble([model], [genotype], "train")
     _write_metrics(out, ensemble, bundle, cfg, args.seed, budget.total_steps, wall)
-    with open(out / "budget.json", "w") as f:
-        json.dump(budget.to_dict(), f, indent=1, sort_keys=True)
-        f.write("\n")
+    (out / "budget.json").write_text(
+        json.dumps(budget.to_dict(), indent=1, sort_keys=True) + "\n"
+    )
     print(f"trained model written to {out}")
     return 0
 

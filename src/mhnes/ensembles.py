@@ -27,7 +27,6 @@ class PoolMember:
     model: DiscreteNetwork
     val_probs: np.ndarray  # [heads, N, C]
     val_nll: float
-    tag: str = ""
 
 
 @dataclass
@@ -85,12 +84,12 @@ def forward_select(pool: EnsemblePool, num_members, with_replacement=False):
     return chosen
 
 
-def _trained_member(genotype, bundle, hp, seed, tag=""):
+def _trained_member(genotype, bundle, hp, seed):
     model, budget = train_discrete(genotype, bundle, hp, seed)
     val_x, val_y = bundle.split("val")
     probs = model.predict(val_x)
     report = MetricReport.from_predictions(PredictionMatrix(probs, val_y))
-    return PoolMember(genotype, model, probs, report.nll, tag=tag), budget
+    return PoolMember(genotype, model, probs, report.nll), budget
 
 
 def build_baseline(kind, bundle, spec: ModelSpec, train_hp: TrainHyperparams,
@@ -121,11 +120,11 @@ def build_baseline(kind, bundle, spec: ModelSpec, train_hp: TrainHyperparams,
     def sample(space, n):
         return [sample_random_genotype(space, rng) for _ in range(n)]
 
-    def train_pool(tag, genotypes, variants=None):
+    def train_pool(tag, genotypes, hps=None):
         members = []
         for i, geno in enumerate(genotypes):
-            hp, label = variants[i] if variants else (train_hp, "")
-            member, b = _trained_member(geno, bundle, hp, [seed, tag, i], tag=label)
+            hp = hps[i] if hps else train_hp
+            member, b = _trained_member(geno, bundle, hp, [seed, tag, i])
             budget.merge(b)
             members.append(member)
         return members
@@ -146,13 +145,14 @@ def build_baseline(kind, bundle, spec: ModelSpec, train_hp: TrainHyperparams,
         chosen = selected(train_pool(4, sample(single, pool_size)))
     elif kind == "hyperdeepens_rs":
         geno = best(train_pool(5, sample(single, pool_size))).genotype
-        variants = []
-        for i in range(pool_size):
-            ls = (0.0, 0.05, 0.1, 0.2)[i % 4]
-            wd = float(10 ** rng.uniform(-5, -3))
-            hp = dataclasses.replace(train_hp, weight_decay=wd, label_smoothing=ls)
-            variants.append((hp, f"ls={ls},wd={wd:.2e}"))
-        chosen = selected(train_pool(6, [geno] * pool_size, variants))
+        hps = [
+            dataclasses.replace(
+                train_hp, weight_decay=float(10 ** rng.uniform(-5, -3)),
+                label_smoothing=(0.0, 0.05, 0.1, 0.2)[i % 4],
+            )
+            for i in range(pool_size)
+        ]
+        chosen = selected(train_pool(6, [geno] * pool_size, hps))
     elif kind == "mhe_sample":
         chosen = train_pool(7, sample(spec, 1))
     elif kind == "mhe_rs":

@@ -35,13 +35,6 @@ class PredictionMatrix:
     def num_members(self):
         return self.probs.shape[0]
 
-    def validate(self, tol=1e-8):
-        if not np.all(self.probs >= 0):
-            raise ValueError("negative probability entry")
-        if np.abs(self.probs.sum(axis=2) - 1.0).max() > tol:
-            raise ValueError("probability rows do not sum to 1")
-        return self
-
 
 def ensemble_average(pm: PredictionMatrix) -> np.ndarray:
     if pm.num_members < 1:
@@ -110,7 +103,6 @@ class MetricReport:
     ece: float
     oracle_nll: float
     member_nll: tuple
-    member_error: tuple
 
     def __post_init__(self):
         if not (0.0 <= self.error <= 1.0 and 0.0 <= self.ece <= 1.0):
@@ -127,7 +119,6 @@ class MetricReport:
             ece=ece(avg, pm.labels, num_bins),
             oracle_nll=oracle_ensemble_nll(pm),
             member_nll=tuple(nll(p, pm.labels) for p in pm.probs),
-            member_error=tuple(error(p, pm.labels) for p in pm.probs),
         )
 
 

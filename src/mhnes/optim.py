@@ -8,13 +8,13 @@ from __future__ import annotations
 import numpy as np
 
 
-def cosine_lr(t, total, lr0):
-    """lr0 * 0.5 * (1 + cos(pi * t / total)), decaying to 0 at t == total."""
+def cosine_lr(t, total, base_lr):
+    """base_lr * 0.5 * (1 + cos(pi * t / total)), decaying to 0 at t == total."""
     if total <= 0:
         raise ValueError(f"cosine_lr: total steps must be positive, got {total}")
     if not 0 <= t <= total:
         raise ValueError(f"cosine_lr: step {t} outside [0, {total}]")
-    return lr0 * 0.5 * (1.0 + np.cos(np.pi * t / total))
+    return base_lr * 0.5 * (1.0 + np.cos(np.pi * t / total))
 
 
 class SGD:

@@ -78,14 +78,10 @@ def _save_genotypes(ensemble: Ensemble, path: Path):
     if len(ensemble.genotypes) == 1:
         ensemble.genotypes[0].save(path)
     else:
-        with open(path, "w") as f:
-            json.dump(
-                {"members": [g.to_dict() for g in ensemble.genotypes]},
-                f,
-                indent=1,
-                sort_keys=True,
-            )
-            f.write("\n")
+        path.write_text(json.dumps(
+            {"members": [g.to_dict() for g in ensemble.genotypes]},
+            indent=1, sort_keys=True,
+        ) + "\n")
 
 
 def run_seed(config: ExperimentConfig, bundle, seed, seed_dir: Path):
@@ -120,19 +116,16 @@ def run_seed(config: ExperimentConfig, bundle, seed, seed_dir: Path):
             f"budget accounting mismatch: planned {planned.total_steps} steps, "
             f"executed {budget.total_steps}"
         )
-    with open(seed_dir / "budget.json", "w") as f:
-        json.dump(
-            {
-                "method": method,
-                "seed": seed,
-                "planned": planned.to_dict(),
-                "executed": budget.to_dict(),
-            },
-            f,
-            indent=1,
-            sort_keys=True,
-        )
-        f.write("\n")
+    (seed_dir / "budget.json").write_text(json.dumps(
+        {
+            "method": method,
+            "seed": seed,
+            "planned": planned.to_dict(),
+            "executed": budget.to_dict(),
+        },
+        indent=1,
+        sort_keys=True,
+    ) + "\n")
 
     wall = time.perf_counter() - t0
     steps = budget.total_steps
@@ -245,9 +238,9 @@ def run(config: ExperimentConfig):
             manifest["wall_sec"] = round(wall, 3)
         except Exception as exc:  # noqa: BLE001 - recorded, seed aborted
             manifest["error"] = f"{type(exc).__name__}: {exc}"
-        with open(seed_dir / "manifest.json", "w") as f:
-            json.dump(manifest, f, indent=1, sort_keys=True)
-            f.write("\n")
+        (seed_dir / "manifest.json").write_text(
+            json.dumps(manifest, indent=1, sort_keys=True) + "\n"
+        )
 
     if all_rows:
         all_rows += _aggregate_rows(all_rows, config.method)

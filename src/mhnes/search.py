@@ -5,7 +5,8 @@ derived from the seed plus a fixed tag, so repeated runs are bit-identical.
 Budgets count optimization iterations; one bilevel iteration (an architecture
 update plus a weight update) is one step. A searcher's optional
 ``epoch_hook(epoch, net, arch, (val_x, val_y))`` runs after every search
-epoch and receives the searcher's own validation split.
+epoch and receives the searcher's own validation split. A non-finite step
+loss raises ``FloatingPointError`` naming the budget phase, epoch and step.
 """
 
 from __future__ import annotations
@@ -69,27 +70,38 @@ def rng_for(seed, tag):
     return np.random.default_rng(base + [hash_tag(tag)])
 
 
-def _weight_step(net, opt, lr, x, y, forward_kwargs=None):
+def loss_backward(net, loss_fn, x, y, **forward_kwargs):
+    """Forward ``x`` on a fresh tape, then backpropagate
+    ``loss_fn(head_probs, ensemble_average(head_probs), y)``.
+
+    Gradients accumulate into the leaves; returns the loss tensor.
+    """
     with Tape():
-        probs = net(Tensor(x), **(forward_kwargs or {}))
-        loss = losses.ensemble_train_loss(probs, losses.ensemble_average(probs), y)
-        opt.zero_grad()
+        probs = net(Tensor(x), **forward_kwargs)
+        loss = loss_fn(probs, losses.ensemble_average(probs), y)
         backward(loss)
-        opt.step(lr)
+    return loss
+
+
+def _train_step(net, opt, loss_fn, x, y, lr=None, **forward_kwargs):
+    """One optimizer step on the ensemble loss; returns the loss as a float,
+    so the step's tape is released when it returns."""
+    opt.zero_grad()
+    loss = loss_backward(net, loss_fn, x, y, **forward_kwargs)
+    opt.step(lr)
     return loss.item()
 
 
-def _arch_step(net, arch, opt, jsd_weight, x, y, rng=None):
-    with Tape():
-        probs = net(Tensor(x), mode="continuous", rng=rng)
-        loss = losses.arch_val_loss(
-            probs, losses.ensemble_average(probs), y, jsd_weight
+def _check_finite(phase, epoch, step, *step_losses):
+    """Fail at the step whose loss is non-finite (``None`` marks a skipped
+    loss). Only the scalar losses are checked: a non-finite update shows up
+    as a non-finite loss at the next step."""
+    bad = [v for v in step_losses if v is not None and not np.isfinite(v)]
+    if bad:
+        raise FloatingPointError(
+            f"non-finite loss {bad[0]} in phase {phase!r}, epoch {epoch}, "
+            f"step {step}"
         )
-        opt.zero_grad()
-        backward(loss)
-        opt.step()
-        arch.clamp()
-    return loss.item()
 
 
 def bilevel_search_step(net, arch, w_opt, a_opt, train_batch, val_batch, hp, lr,
@@ -98,23 +110,21 @@ def bilevel_search_step(net, arch, w_opt, a_opt, train_batch, val_batch, hp, lr,
     then a weight SGD step. Returns the two loss values."""
     a_loss = None
     if not warm:
-        a_loss = _arch_step(
-            net, arch, a_opt, hp.jsd_weight, val_batch[0], val_batch[1],
-            rng=sample_rng,
+        a_loss = _train_step(
+            net, a_opt,
+            lambda p, avg, y: losses.arch_val_loss(p, avg, y, hp.jsd_weight),
+            *val_batch, mode="continuous", rng=sample_rng,
         )
-    w_loss = _weight_step(
-        net,
-        w_opt,
-        lr,
-        train_batch[0],
-        train_batch[1],
-        forward_kwargs={"mode": "continuous", "rng": sample_rng},
+        arch.clamp()
+    w_loss = _train_step(
+        net, w_opt, losses.ensemble_train_loss, *train_batch, lr,
+        mode="continuous", rng=sample_rng,
     )
     return a_loss, w_loss
 
 
 def _run_bilevel_phase(net, arch, hp, epochs, warmstart, data_split, rng,
-                       sample_rng=None, epoch_hook=None, lr0=None):
+                       sample_rng=None, epoch_hook=None, phase="search"):
     (tr_x, tr_y), (va_x, va_y) = data_split
     w_opt = SGD(
         net.parameters(),
@@ -131,11 +141,11 @@ def _run_bilevel_phase(net, arch, hp, epochs, warmstart, data_split, rng,
     )
     steps = 0
     for epoch in range(epochs):
-        lr = cosine_lr(epoch, epochs, lr0 if lr0 is not None else hp.weight_lr)
+        lr = cosine_lr(epoch, epochs, hp.weight_lr)
         tb = _epoch_batches(len(tr_y), hp.batch, rng)
         vb = _epoch_batches(len(va_y), hp.batch, rng)
         for t_idx, v_idx in zip(tb, vb):
-            bilevel_search_step(
+            step_losses = bilevel_search_step(
                 net,
                 arch,
                 w_opt,
@@ -147,6 +157,7 @@ def _run_bilevel_phase(net, arch, hp, epochs, warmstart, data_split, rng,
                 warm=(epoch < warmstart),
                 sample_rng=sample_rng,
             )
+            _check_finite(phase, epoch, steps, *step_losses)
             steps += 1
         if epoch_hook is not None:
             epoch_hook(epoch, net, arch, (va_x, va_y))
@@ -204,7 +215,7 @@ def drnas_search(bundle, spec: ModelSpec, hp: SearchHyperparams, seed,
     net = Supernet(rng, spec, arch, k=hp.partial_k)
     steps = _run_bilevel_phase(
         net, arch, hp, hp.drnas_stage_epochs, hp.drnas_warmstart_epochs, split,
-        rng, sample_rng=sample_rng, epoch_hook=epoch_hook,
+        rng, sample_rng=sample_rng, epoch_hook=epoch_hook, phase="search_stage1",
     )
     budget.add("search_stage1", steps, k=hp.partial_k)
 
@@ -215,7 +226,7 @@ def drnas_search(bundle, spec: ModelSpec, hp: SearchHyperparams, seed,
     net2 = Supernet(rng, spec, arch2, k=hp.drnas_stage2_k)
     steps = _run_bilevel_phase(
         net2, arch2, hp, hp.drnas_stage_epochs, hp.drnas_warmstart_epochs, split,
-        rng, sample_rng=sample_rng, epoch_hook=epoch_hook,
+        rng, sample_rng=sample_rng, epoch_hook=epoch_hook, phase="search_stage2",
     )
     budget.add("search_stage2", steps, k=hp.drnas_stage2_k)
     return discretize(arch2), budget, arch2
@@ -258,10 +269,11 @@ def randomnas_search(bundle, spec: ModelSpec, hp: SearchHyperparams, seed,
         lr = cosine_lr(epoch, hp.epochs, hp.weight_lr)
         for idx in _epoch_batches(len(tr_y), hp.batch, rng):
             geno = sample_random_genotype(spec, rng)
-            _weight_step(
-                net, w_opt, lr, tr_x[idx], tr_y[idx],
-                forward_kwargs={"mode": "sampled", "genotype": geno},
+            loss = _train_step(
+                net, w_opt, losses.ensemble_train_loss, tr_x[idx], tr_y[idx], lr,
+                mode="sampled", genotype=geno,
             )
+            _check_finite("search", epoch, steps, loss)
             steps += 1
         if epoch_hook is not None:
             epoch_hook(epoch, net, arch, (va_x, va_y))
@@ -289,21 +301,20 @@ def train_discrete(genotype: MultiHeadGenotype, bundle, hp: TrainHyperparams,
         net.parameters(), lr=hp.lr, momentum=hp.momentum, weight_decay=hp.weight_decay
     )
     tr_x, tr_y = bundle.split("train")
+
+    def train_loss(probs, avg, y):
+        return losses.ensemble_train_loss(
+            probs, avg, y, label_smoothing=hp.label_smoothing
+        )
+
     steps = 0
     for epoch in range(hp.epochs):
         lr = cosine_lr(epoch, hp.epochs, hp.lr)
         epoch_losses = []
         for idx in _epoch_batches(len(tr_y), hp.batch, rng):
-            with Tape():
-                probs = net(Tensor(tr_x[idx]))
-                loss = losses.ensemble_train_loss(
-                    probs, losses.ensemble_average(probs), tr_y[idx],
-                    label_smoothing=hp.label_smoothing,
-                )
-                opt.zero_grad()
-                backward(loss)
-                opt.step(lr)
-            epoch_losses.append(loss.item())
+            loss = _train_step(net, opt, train_loss, tr_x[idx], tr_y[idx], lr)
+            _check_finite("train", epoch, steps, loss)
+            epoch_losses.append(loss)
             steps += 1
         if loss_log is not None:
             loss_log.append(float(np.mean(epoch_losses)))

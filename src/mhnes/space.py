@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -148,9 +149,9 @@ class MultiHeadGenotype:
         ).validate()
 
     def save(self, path):
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=1, sort_keys=True)
-            f.write("\n")
+        Path(path).write_text(
+            json.dumps(self.to_dict(), indent=1, sort_keys=True) + "\n"
+        )
 
     @classmethod
     def load(cls, path):

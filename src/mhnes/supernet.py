@@ -86,13 +86,6 @@ class ArchParams:
                 out.append(T.softmax(t, axis=1))
         return out
 
-    def snapshot(self):
-        return [t.data.copy() for t in self.tensors()]
-
-    def restore(self, arrays):
-        for t, a in zip(self.tensors(), arrays):
-            t.data[...] = a
-
     def flat(self):
         return np.concatenate([t.data.reshape(-1) for t in self.tensors()])
 
@@ -283,18 +276,18 @@ class Supernet(nn.Module):
             ]
         )
 
-    def forward(self, x, mode="continuous", genotype=None, mix_tables=None, rng=None):
+    def forward(self, x, mode="continuous", genotype=None, rng=None):
         """Per-head class-probability matrices for a batch.
 
-        continuous: operation mixtures from ArchParams (or the given
-        ``mix_tables``, e.g. sampled simplices). sampled/discrete: exactly
-        one operation per chosen edge of ``genotype`` is active.
+        continuous: operation mixtures from ArchParams (drnas: sampled with
+        ``rng`` when given). sampled/discrete: exactly one operation per
+        chosen edge of ``genotype`` is active.
         """
         x = T.as_tensor(x)
         feats = self.backbone(x)
         out = []
         if mode == "continuous":
-            tables = mix_tables or self.arch.mixture_tables(rng)
+            tables = self.arch.mixture_tables(rng)
             for h, head in enumerate(self.heads):
                 betas = self.arch.beta[h] if self.arch.mode == "pcdarts" else None
                 out.append(head(feats, table=tables[h], betas=betas))
@@ -316,14 +309,20 @@ class Supernet(nn.Module):
         depends on the other examples of its ``batch``-sized chunk: results
         change with the chunk size.
         """
-        chunks = []
-        with T.no_grad():
-            for lo in range(0, len(images), batch):
-                probs = self.forward(
-                    Tensor(images[lo : lo + batch]), mode=mode, genotype=genotype
-                )
-                chunks.append(np.stack([p.data for p in probs]))
-        return np.concatenate(chunks, axis=1)
+        return _predict_chunks(
+            lambda x: self.forward(x, mode=mode, genotype=genotype), images, batch
+        )
+
+
+def _predict_chunks(forward, images, batch):
+    """Stacked per-head probabilities [M, N, C] of ``forward`` over
+    ``batch``-sized chunks of ``images``, without recording."""
+    chunks = []
+    with T.no_grad():
+        for lo in range(0, len(images), batch):
+            probs = forward(Tensor(images[lo : lo + batch]))
+            chunks.append(np.stack([p.data for p in probs]))
+    return np.concatenate(chunks, axis=1)
 
 
 def _chosen_edge_ops(spec: ModelSpec, cell_genotype):
@@ -385,13 +384,9 @@ class DiscreteNetwork(nn.Module):
     def predict(self, images, batch=256):
         was_training = self.training
         self.eval()
-        chunks = []
-        with T.no_grad():
-            for lo in range(0, len(images), batch):
-                probs = self.forward(Tensor(images[lo : lo + batch]))
-                chunks.append(np.stack([p.data for p in probs]))
+        out = _predict_chunks(self.forward, images, batch)
         self.train(was_training)
-        return np.concatenate(chunks, axis=1)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +406,10 @@ def discretize(arch: ArchParams) -> MultiHeadGenotype:
     scaled by the node-softmaxed edge weight; drnas: by the expected
     Dirichlet weight); the top two edges are kept with their argmax
     operations. Ties resolve to the lower edge index and lower op index.
+    Non-finite architecture parameters raise ``FloatingPointError``.
     """
+    if not np.all(np.isfinite(arch.flat())):
+        raise FloatingPointError("discretize: non-finite architecture parameters")
     spec = arch.spec
     heads = []
     for h in range(spec.num_heads):

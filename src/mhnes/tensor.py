@@ -86,10 +86,6 @@ def active_tape():
     return _state().tapes[-1]
 
 
-def is_grad_enabled():
-    return _state().grad_enabled
-
-
 @contextmanager
 def no_grad():
     st = _state()
@@ -131,9 +127,6 @@ class Tensor:
 
     def backward(self):
         backward(self)
-
-    def detach(self):
-        return Tensor(self.data.copy())
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"

@@ -127,6 +127,14 @@ class TestRunArtifacts:
         rows = (out / "metrics.csv").read_text().strip().splitlines()[1:]
         assert all(r.split(",")[1] in ("0", "mean", "std") for r in rows)
 
+    def test_nonfinite_loss_names_its_step_in_the_manifest(self, tmp_path):
+        d = tiny_config_dict(out=str(tmp_path / "nan"), seeds=(0,))
+        d["train"]["lr"] = 1e300
+        out = runner.run(ExperimentConfig.from_dict(d))
+        error = json.loads((out / "seed_0" / "manifest.json").read_text())["error"]
+        assert error.startswith("FloatingPointError")
+        assert "phase 'train'" in error
+
     @pytest.mark.parametrize("command,method", [("search", "randomnas"),
                                                 ("baseline", "mhe_sample")])
     def test_failed_seed_exits_two_and_keeps_the_others(

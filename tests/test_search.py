@@ -1,5 +1,8 @@
 """Search methods: bilevel mechanics, schedules, determinism, budgets."""
 
+import dataclasses
+import gc
+
 import numpy as np
 import pytest
 from support import supernet_as_discrete_arrays
@@ -48,22 +51,19 @@ class TestWarmstart:
         rng = search.rng_for(0, "warmtest")
         arch = ArchParams(TINY, "pcdarts", rng)
         net = Supernet(rng, TINY, arch, k=2)
-        before = arch.snapshot()
+        before = arch.flat()
         split = search._split_search_data(bundle, FAST_HP, rng)
         search._run_bilevel_phase(net, arch, FAST_HP, 1, 1, split, rng)
-        for a, b in zip(before, arch.snapshot()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(arch.flat(), before)
 
     def test_arch_moves_after_warmstart(self, bundle):
         rng = search.rng_for(0, "warmtest2")
         arch = ArchParams(TINY, "pcdarts", rng)
         net = Supernet(rng, TINY, arch, k=2)
-        before = arch.snapshot()
+        before = arch.flat()
         split = search._split_search_data(bundle, FAST_HP, rng)
         search._run_bilevel_phase(net, arch, FAST_HP, 1, 0, split, rng)
-        assert any(
-            not np.array_equal(a, b) for a, b in zip(before, arch.snapshot())
-        )
+        assert not np.array_equal(arch.flat(), before)
 
 
 class TestBilevelGradients:
@@ -109,25 +109,20 @@ class TestBilevelGradients:
         batches = [slice(i * 16, (i + 1) * 16) for i in range(5)]
         opt_a = SGD(sup.parameters(), lr=0.05, momentum=0.9, weight_decay=3e-4)
         opt_b = SGD(net.parameters(), lr=0.05, momentum=0.9, weight_decay=3e-4)
+        loss = losses.ensemble_train_loss
         for sl in batches:
-            la = _step_once(sup, opt_a, x[sl], y[sl], mode="continuous")
-            lb = _step_once(net, opt_b, x[sl], y[sl])
+            la = search._train_step(sup, opt_a, loss, x[sl], y[sl], mode="continuous")
+            lb = search._train_step(net, opt_b, loss, x[sl], y[sl])
             assert abs(la - lb) < 1e-10
 
 
-def _step_once(net, opt, x, y, **kwargs):
-    with Tape():
-        probs = net(Tensor(x), **kwargs)
-        loss = losses.ensemble_train_loss(
-            probs, losses.ensemble_average(probs), y
-        )
-        opt.zero_grad()
-        backward(loss)
-        opt.step()
-    return loss.item()
-
-
 class TestPcdarts:
+    def test_nonfinite_loss_fails_at_its_step(self, bundle):
+        hp = dataclasses.replace(FAST_HP, arch_lr=1e300)
+        where = r"phase 'search', epoch 1, step \d+"
+        with pytest.raises(FloatingPointError, match=where):
+            search.pcdarts_search(bundle, TINY, hp, seed=0)
+
     def test_genotype_valid_and_deterministic(self, bundle):
         a, budget, _ = search.pcdarts_search(bundle, TINY, FAST_HP, seed=9)
         b, _, _ = search.pcdarts_search(bundle, TINY, FAST_HP, seed=9)
@@ -222,6 +217,33 @@ class TestTrainDiscrete:
         for split in ("val", "test"):
             x = bundle.split(split)[0]
             np.testing.assert_array_equal(ma.predict(x), mb.predict(x))
+
+    def test_nonfinite_loss_fails_at_its_step(self, bundle):
+        geno = sample_random_genotype(TINY, np.random.default_rng(2))
+        hp = TrainHyperparams(epochs=2, batch=32, lr=1e300)
+        where = r"phase 'train', epoch 0, step \d+"
+        with pytest.raises(FloatingPointError, match=where):
+            search.train_discrete(geno, bundle, hp, seed=0)
+
+    def test_one_tape_alive_per_step(self, bundle, monkeypatch):
+        # a finished step's tape must be garbage before the next step records
+        geno = sample_random_genotype(TINY, np.random.default_rng(2))
+        default_tape = T.active_tape()
+        real = losses.ensemble_train_loss
+        live = []
+
+        def counting(*args, **kwargs):
+            gc.collect()
+            live.append(sum(
+                1 for o in gc.get_objects()
+                if isinstance(o, Tape) and o.nodes and o is not default_tape
+            ))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(losses, "ensemble_train_loss", counting)
+        hp = TrainHyperparams(epochs=1, batch=32)
+        search.train_discrete(geno, bundle, hp, seed=0)
+        assert live == [1, 1, 1, 1]
 
     def test_m1_gradient_parallel_to_plain_cross_entropy(self):
         rng = np.random.default_rng(4)

@@ -212,6 +212,13 @@ class TestDiscretize:
         assert got.inputs == (0, 1)  # strongest two of the three candidates
         assert got.ops == ("skip_connect", "skip_connect")
 
+    @pytest.mark.parametrize("mode", ["pcdarts", "drnas"])
+    def test_nonfinite_params_raise(self, mode):
+        arch = ArchParams(SMALL, mode, np.random.default_rng(0))
+        arch.alpha[-1].data[3, 2] = np.nan
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            discretize(arch)
+
     def test_all_ties_pick_lowest_indices(self):
         spec = ModelSpec(num_heads=1)
         arch = ArchParams(spec, "plain", np.random.default_rng(0), init_scale=0.0)
@@ -261,11 +268,10 @@ class TestArchParams:
     def test_snapshot_restore_and_flat_roundtrip(self):
         rng = np.random.default_rng(1)
         arch = ArchParams(SMALL, "pcdarts", rng)
-        snap = arch.snapshot()
         flat = arch.flat()
         for t in arch.tensors():
             t.data += 1.0
-        arch.restore(snap)
+        arch.set_flat(flat)
         np.testing.assert_array_equal(arch.flat(), flat)
         vec = np.arange(flat.size, dtype=float)
         arch.set_flat(vec)
