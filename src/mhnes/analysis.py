@@ -71,18 +71,26 @@ def arch_loss_grad_fn(net, arch, val_x, val_y, jsd_weight):
     """Gradient of the architecture objective w.r.t. flattened ArchParams.
 
     Uses deterministic mixture weights (expected weights in drnas mode) so
-    the probed surface is noise-free. The caller must restore the original
-    parameters afterwards.
+    the probed surface is noise-free. The supernet weights are frozen while
+    it runs, so only the architecture gradient is computed. The caller must
+    restore the original parameters afterwards.
     """
 
     def grad(vec):
         arch.set_flat(vec)
         for t in arch.tensors():
             t.grad = None
-        loss_backward(
-            net, lambda p, avg, y: losses.arch_val_loss(p, avg, y, jsd_weight),
-            val_x, val_y, mode="continuous",
-        )
+        weights = net.parameters()
+        for w in weights:
+            w.requires_grad = False
+        try:
+            loss_backward(
+                net, lambda p, avg, y: losses.arch_val_loss(p, avg, y, jsd_weight),
+                val_x, val_y, mode="continuous",
+            )
+        finally:
+            for w in weights:
+                w.requires_grad = True
         return np.concatenate(
             [
                 (t.grad if t.grad is not None else np.zeros_like(t.data)).reshape(-1)

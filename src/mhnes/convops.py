@@ -36,11 +36,23 @@ def _im2col(xp, kh, kw, oh, ow, stride, dilation):
     return cols
 
 
-def _col2im(dcols, xp_shape, kh, kw, oh, ow, stride, dilation):
-    dxp = np.zeros(xp_shape)
+def _pad(x, padding, fill=0.0):
+    """Spatially pad an [N,C,H,W] array by ``padding`` on each side."""
+    if not padding:
+        return x
+    p = (padding, padding)
+    return np.pad(x, ((0, 0), (0, 0), p, p), constant_values=fill)
+
+
+def _col2im(dcols, x_shape, padding, kh, kw, oh, ow, stride, dilation):
+    """Gradient of the unpadded [N,C,H,W] input from column gradients."""
+    n, c, h, w = x_shape
+    dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
     for ki, kj, si, sj in _window_slices(kh, kw, oh, ow, stride, dilation):
         dxp[:, :, si, sj] += dcols[:, :, ki, kj]
-    return dxp
+    if not padding:
+        return dxp
+    return dxp[:, :, padding : padding + h, padding : padding + w].copy()
 
 
 def conv2d(x, w, stride=1, padding=0, dilation=1, groups=1):
@@ -64,12 +76,7 @@ def conv2d(x, w, stride=1, padding=0, dilation=1, groups=1):
             f"conv2d: non-positive output extent {oh}x{ow} for input {h}x{wd}, "
             f"kernel {kh}x{kw}, stride {stride}, padding {padding}, dilation {dilation}"
         )
-    xp = (
-        np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-        if padding
-        else x.data
-    )
-    cols = _im2col(xp, kh, kw, oh, ow, stride, dilation)
+    cols = _im2col(_pad(x.data, padding), kh, kw, oh, ow, stride, dilation)
     # group the channel axis: cols [N,G,cg*kh*kw,P], weights [G,cog,cg*kh*kw]
     cog = co // groups
     colsg = cols.reshape(n, groups, cg * kh * kw, oh * ow)
@@ -82,13 +89,8 @@ def conv2d(x, w, stride=1, padding=0, dilation=1, groups=1):
         dcols = np.einsum("gok,ngop->ngkp", wg, gg).reshape(
             n, c, kh, kw, oh, ow
         )
-        dxp = _col2im(dcols, xp.shape, kh, kw, oh, ow, stride, dilation)
-        dx = (
-            dxp[:, :, padding : padding + h, padding : padding + wd]
-            if padding
-            else dxp
-        )
-        return dx.copy() if padding else dx, dw
+        dx = _col2im(dcols, x.data.shape, padding, kh, kw, oh, ow, stride, dilation)
+        return dx, dw
 
     return _record(out, [x, w], fn, "conv2d")
 
@@ -116,16 +118,7 @@ def pool2d(kind, x, window=3, stride=1, padding=1):
             f"window {window}, stride {stride}, padding {padding}"
         )
     fill = -np.inf if kind == "max" else 0.0
-    xp = (
-        np.pad(
-            x.data,
-            ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-            constant_values=fill,
-        )
-        if padding
-        else x.data
-    )
-    cols = _im2col(xp, window, window, oh, ow, stride, 1)
+    cols = _im2col(_pad(x.data, padding, fill), window, window, oh, ow, stride, 1)
     flat = cols.reshape(n, c, window * window, oh, ow)
 
     if kind == "avg":
@@ -136,13 +129,8 @@ def pool2d(kind, x, window=3, stride=1, padding=1):
             dcols = np.broadcast_to(
                 g[:, :, None] / area, flat.shape
             ).reshape(cols.shape)
-            dxp = _col2im(dcols, xp.shape, window, window, oh, ow, stride, 1)
-            dx = (
-                dxp[:, :, padding : padding + h, padding : padding + wd]
-                if padding
-                else dxp
-            )
-            return (dx.copy() if padding else dx,)
+            return (_col2im(dcols, x.data.shape, padding, window, window,
+                            oh, ow, stride, 1),)
 
     else:
         arg = flat.argmax(axis=2)  # first index on ties
@@ -151,15 +139,8 @@ def pool2d(kind, x, window=3, stride=1, padding=1):
         def fn(g):
             dflat = np.zeros_like(flat)
             np.put_along_axis(dflat, arg[:, :, None], g[:, :, None], axis=2)
-            dxp = _col2im(
-                dflat.reshape(cols.shape), xp.shape, window, window, oh, ow, stride, 1
-            )
-            dx = (
-                dxp[:, :, padding : padding + h, padding : padding + wd]
-                if padding
-                else dxp
-            )
-            return (dx.copy() if padding else dx,)
+            return (_col2im(dflat.reshape(cols.shape), x.data.shape, padding,
+                            window, window, oh, ow, stride, 1),)
 
     return _record(out, [x], fn, "pool2d")
 

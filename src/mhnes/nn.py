@@ -36,10 +36,6 @@ class Module:
             out.extend(child.parameters())
         return out
 
-    def zero_grad(self):
-        for p in self.parameters():
-            p.grad = None
-
     def train(self, mode=True):
         object.__setattr__(self, "training", mode)
         for child in self._children.values():

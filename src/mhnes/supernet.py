@@ -318,10 +318,9 @@ def _predict_chunks(forward, images, batch):
     """Stacked per-head probabilities [M, N, C] of ``forward`` over
     ``batch``-sized chunks of ``images``, without recording."""
     chunks = []
-    with T.no_grad():
-        for lo in range(0, len(images), batch):
-            probs = forward(Tensor(images[lo : lo + batch]))
-            chunks.append(np.stack([p.data for p in probs]))
+    for lo in range(0, len(images), batch):
+        probs = forward(Tensor(images[lo : lo + batch]))
+        chunks.append(np.stack([p.data for p in probs]))
     return np.concatenate(chunks, axis=1)
 
 

@@ -1,18 +1,23 @@
 """Minimal dense-tensor engine with reverse-mode automatic differentiation.
 
-Everything is float64 and define-by-run: each executed operation appends a
-node to the active tape, and ``backward`` walks the tape in reverse from the
-loss node. Gradients of ``requires_grad`` leaves accumulate across backward
-calls; intermediate gradients are rebuilt fresh on every call.
+Everything is float64 and define-by-run. An operation is recorded only while
+a ``Tape`` is open on the thread and one of its inputs requires a gradient;
+outside a tape every operation returns a plain tensor. ``backward`` walks the
+open tape in reverse from the loss node. Gradients of ``requires_grad``
+leaves accumulate across backward calls; intermediate gradients are not kept.
 
-The engine is single-thread-confined by design (one tape per thread);
-independent models on different threads share nothing.
+The graph lives as long as its tape is open: closing the tape detaches every
+recorded output from its node, so a finished step's outputs, closures and
+buffers are freed by reference counting, and ``backward`` on a loss whose
+tape has closed raises ``ValueError``.
+
+The engine is single-thread-confined by design (at most one open tape per
+thread); independent models on different threads share nothing.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -32,69 +37,50 @@ class Node:
     array (or None) per input, each freshly allocated.
     """
 
-    __slots__ = ("inputs", "fn", "out", "index", "tape", "name")
+    __slots__ = ("inputs", "fn", "out", "name")
 
     def __init__(self, inputs, fn, out, name):
         self.inputs = inputs
         self.fn = fn
         self.out = out
         self.name = name
-        self.index = -1
-        self.tape = None
 
 
 class Tape:
-    """Ordered record of executed operations.
+    """The recording scope: an ordered record of executed operations.
 
     Insertion order is topological by construction: an operation can only be
-    recorded after the operations producing its inputs. Usable as a context
-    manager to scope recording (a fresh tape per training step keeps memory
-    bounded).
+    recorded after the operations producing its inputs. One tape at a time
+    may be open on a thread; closing it detaches every recorded output from
+    its node and drops the node list, so the graph is freed by reference
+    counting when the step's tensors go out of scope.
     """
 
     def __init__(self):
         self.nodes = []
 
     def record(self, node):
-        node.index = len(self.nodes)
-        node.tape = self
         self.nodes.append(node)
 
     def __enter__(self):
-        _state().tapes.append(self)
+        if _STATE.tape is not None:
+            raise RuntimeError("a tape is already open on this thread")
+        _STATE.tape = self
         return self
 
     def __exit__(self, *exc):
-        _state().tapes.pop()
+        _STATE.tape = None
+        for node in self.nodes:
+            node.out._node = None
+        self.nodes = []
         return False
 
 
 class _ThreadState(threading.local):
-    def __init__(self):
-        self.tapes = [Tape()]
-        self.grad_enabled = True
+    tape = None
 
 
 _STATE = _ThreadState()
-
-
-def _state():
-    return _STATE
-
-
-def active_tape():
-    return _state().tapes[-1]
-
-
-@contextmanager
-def no_grad():
-    st = _state()
-    prev = st.grad_enabled
-    st.grad_enabled = False
-    try:
-        yield
-    finally:
-        st.grad_enabled = prev
 
 
 # ---------------------------------------------------------------------------
@@ -124,9 +110,6 @@ class Tensor:
 
     def item(self):
         return float(self.data)
-
-    def backward(self):
-        backward(self)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -168,11 +151,12 @@ def as_tensor(x):
 
 
 def _record(data, inputs, fn, name):
-    rg = _state().grad_enabled and any(t.requires_grad for t in inputs)
+    tape = _STATE.tape
+    rg = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(data, requires_grad=rg)
     if rg:
         node = Node(tuple(inputs), fn, out, name)
-        active_tape().record(node)
+        tape.record(node)
         out._node = node
     return out
 
@@ -180,24 +164,22 @@ def _record(data, inputs, fn, name):
 def backward(loss):
     """Populate gradients of every reachable ``requires_grad`` leaf.
 
-    Walks the loss's tape in reverse; each node is visited at most once.
-    Leaf gradients accumulate across calls (callers reset with ``grad=None``).
+    Walks the open tape in reverse; each node is visited at most once. A
+    tensor without a node is a leaf. Leaf gradients accumulate across calls
+    (callers reset with ``grad=None``).
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     if loss._node is None:
-        if loss.requires_grad:
-            g = np.ones_like(loss.data)
-            loss.grad = g if loss.grad is None else loss.grad + g
-        return
-    tape = loss._node.tape
-    flow = {id(loss): np.ones_like(loss.data)}
-    alive = {id(loss): loss}  # keep tensors alive while their id keys exist
-    for node in reversed(tape.nodes[: loss._node.index + 1]):
-        g = flow.pop(id(node.out), None)
+        raise ValueError(
+            "backward needs a loss recorded on the open tape (was its tape "
+            "closed, or did it depend on no requires_grad tensor?)"
+        )
+    flow = {loss._node: np.ones_like(loss.data)}
+    for node in reversed(_STATE.tape.nodes):
+        g = flow.pop(node, None)
         if g is None:
             continue
-        node.out.grad = g
         grads = node.fn(g)
         for t, gt in zip(node.inputs, grads):
             if gt is None or not t.requires_grad:
@@ -206,12 +188,11 @@ def backward(loss):
                 raise ShapeError(
                     f"{node.name}: gradient shape {gt.shape} != input shape {t.data.shape}"
                 )
-            if t._node is not None and t._node.tape is tape:
-                k = id(t)
-                flow[k] = gt if k not in flow else flow[k] + gt
-                alive[k] = t
-            else:
+            src = t._node
+            if src is None:
                 t.grad = gt if t.grad is None else t.grad + gt
+            else:
+                flow[src] = gt if src not in flow else flow[src] + gt
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +508,7 @@ def grad_check(f, tensors, eps=1e-5):
     ]
 
     def value():
-        with no_grad():
-            return float(f(*tensors).data)
+        return float(f(*tensors).data)
 
     worst = 0.0
     for t, ga in zip(tensors, analytic):

@@ -9,6 +9,7 @@ from mhnes.config import SearchHyperparams, TrainHyperparams
 from mhnes.data import gen_synthetic
 from mhnes.metrics import MetricReport, PredictionMatrix
 from mhnes.space import ModelSpec, sample_random_genotype
+from mhnes.supernet import ArchParams, Supernet
 
 
 def quad_grad(A):
@@ -167,6 +168,24 @@ class TestEigTraceHook:
         for x, y in probed:
             np.testing.assert_array_equal(x, va_x[:20])
             np.testing.assert_array_equal(y, va_y[:20])
+
+    def test_probe_gradient_leaves_weights_untouched(self):
+        spec = ModelSpec(
+            num_classes=3, num_heads=2, cells_per_head=1, nodes=2,
+            ops=("skip_connect", "sep_conv_3x3", "avg_pool_3x3"),
+            backbone_width=8, head_width=8,
+        )
+        rng = np.random.default_rng(0)
+        arch = ArchParams(spec, "pcdarts", rng, init_scale=0.3)
+        net = Supernet(rng, spec, arch, k=2)
+        bundle = gen_synthetic(
+            classes=3, n_train=16, n_val=16, n_test=16, image_size=16, seed=1
+        )
+        val_x, val_y = bundle.split("val")
+        grad = analysis.arch_loss_grad_fn(net, arch, val_x, val_y, 0.1)(arch.flat())
+        assert grad.shape == arch.flat().shape and np.any(grad != 0)
+        weights = net.parameters()
+        assert weights and all(w.grad is None and w.requires_grad for w in weights)
 
 
 @pytest.fixture(scope="module")

@@ -226,24 +226,40 @@ class TestTrainDiscrete:
             search.train_discrete(geno, bundle, hp, seed=0)
 
     def test_one_tape_alive_per_step(self, bundle, monkeypatch):
-        # a finished step's tape must be garbage before the next step records
+        # a finished step's tape must be garbage before the next step records,
+        # freed by reference counting alone
         geno = sample_random_genotype(TINY, np.random.default_rng(2))
-        default_tape = T.active_tape()
         real = losses.ensemble_train_loss
         live = []
 
         def counting(*args, **kwargs):
-            gc.collect()
             live.append(sum(
-                1 for o in gc.get_objects()
-                if isinstance(o, Tape) and o.nodes and o is not default_tape
+                1 for o in gc.get_objects() if isinstance(o, Tape) and o.nodes
             ))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(losses, "ensemble_train_loss", counting)
         hp = TrainHyperparams(epochs=1, batch=32)
-        search.train_discrete(geno, bundle, hp, seed=0)
+        gc.collect()
+        gc.disable()
+        try:
+            search.train_discrete(geno, bundle, hp, seed=0)
+        finally:
+            gc.enable()
         assert live == [1, 1, 1, 1]
+
+    def test_no_node_outlives_training(self, bundle):
+        geno = sample_random_genotype(TINY, np.random.default_rng(2))
+        hp = TrainHyperparams(epochs=2, batch=32)
+        gc.collect()
+        gc.disable()
+        try:
+            # the trained model stays referenced: it must hold no node either
+            model, _ = search.train_discrete(geno, bundle, hp, seed=0)
+            nodes = sum(1 for o in gc.get_objects() if isinstance(o, T.Node))
+        finally:
+            gc.enable()
+        assert nodes == 0
 
     def test_m1_gradient_parallel_to_plain_cross_entropy(self):
         rng = np.random.default_rng(4)

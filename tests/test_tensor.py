@@ -243,31 +243,47 @@ class TestBackwardSemantics:
 
     def test_tape_topological_order_and_single_visit(self):
         x = Tensor(np.ones(2), requires_grad=True)
+        visits = []
         with Tape() as tp:
             a = T.scale(x, 2.0)
             b = T.add(a, x)
             loss = b.sum()
-        seen = set()
-        for node in tp.nodes:
-            for inp in node.inputs:
-                if inp._node is not None:
-                    assert inp._node.index < node.index
-            assert node.index not in seen
-            seen.add(node.index)
-        visits = []
-        orig_fns = [(n, n.fn) for n in tp.nodes]
-        for n, fn in orig_fns:
-            n.fn = (lambda f, i: lambda g: (visits.append(i), f(g))[1])(fn, n.index)
-        with Tape():
-            pass
-        backward(loss)
-        assert len(visits) == len(set(visits))
+            nodes = list(tp.nodes)
+            for pos, node in enumerate(nodes):
+                for inp in node.inputs:
+                    if inp._node is not None:
+                        assert nodes.index(inp._node) < pos
+            assert len(set(map(id, nodes))) == len(nodes)
+            for n in nodes:
+                n.fn = (lambda f, n: lambda g: (visits.append(n), f(g))[1])(n.fn, n)
+            backward(loss)
+        assert len(visits) == len(nodes) == len({id(n) for n in visits})
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
 
-    def test_no_grad_suppresses_recording(self):
+    def test_nothing_recorded_outside_a_tape(self):
         x = Tensor(np.ones(3), requires_grad=True)
-        with T.no_grad():
-            y = T.scale(x, 2.0)
+        y = T.scale(x, 2.0)
         assert y._node is None and not y.requires_grad
+        with pytest.raises(ValueError, match="recorded"):
+            backward(y.sum())
+        assert x.grad is None
+
+    def test_second_open_tape_raises(self):
+        with Tape():
+            with pytest.raises(RuntimeError, match="already open"):
+                with Tape():
+                    pass
+        with Tape():  # closing the outer tape frees the thread for a new one
+            pass
+
+    def test_backward_after_close_raises(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with Tape() as tp:
+            loss = T.scale(x, 2.0).sum()
+        assert loss._node is None and tp.nodes == []
+        with pytest.raises(ValueError, match="recorded"):
+            backward(loss)
+        assert x.grad is None
 
 
 class TestGradCheckHarness:
