@@ -1,8 +1,29 @@
 """Spatial operations: convolution, pooling, and batch normalization.
 
-All operate on [N,C,H,W] float64 tensors. Convolution and pooling are
-implemented by explicit window extraction (one strided slice per kernel
-position), which keeps both directions vectorized without np.add.at.
+All operate on [N,C,H,W] float64 tensors. Convolution and pooling extract
+windows by explicit strided slices, one per kernel offset, which keeps both
+directions vectorized without np.add.at.
+
+Convolution works channel-major. Along each spatial axis ``_offsets`` keeps
+the kernel offsets whose window overlaps the unpadded input, which is
+always a contiguous range. Any other offset reads only padding, so its
+terms are exact zeros and its weight gradient is 0. The kept offsets are
+gathered into columns [C, K', N, OH, OW], so the einsums run their inner
+loop over q = N*OH*OW rather than over one image's pixels. A conv with one
+kept offset, stride 1 and an output the size of its input (every 1x1 conv,
+and a 'same' conv whose other offsets all fall in padding) takes the
+transposed input as its columns, with no window copy.
+
+Summation order: the output and the input gradient accumulate over (input
+channel, kernel row, kernel column) in that order, and the weight gradient
+sums each image's output pixels, then adds the images one by one. That is
+the order of a plain im2col-plus-einsum conv over [N, C*kh*kw, OH*OW]
+columns, and dropping exact-zero terms changes no sum, so every result is
+bit-identical to that reference whenever the output has more than one
+pixel. With a one-pixel output the reference reduced each sum as one
+contiguous vectorized dot, so results there may differ in the last bit.
+
+Pooling keeps the [N,C,K,OH,OW] layout and visits every window offset.
 """
 
 from __future__ import annotations
@@ -17,46 +38,72 @@ def conv_out_extent(extent, kernel, stride, padding, dilation):
     return (extent + 2 * padding - dilation * (kernel - 1) - 1) // stride + 1
 
 
-def _window_slices(kh, kw, oh, ow, stride, dilation):
-    for ki in range(kh):
-        for kj in range(kw):
-            yield (
-                ki,
-                kj,
-                slice(ki * dilation, ki * dilation + (oh - 1) * stride + 1, stride),
-                slice(kj * dilation, kj * dilation + (ow - 1) * stride + 1, stride),
-            )
+def _offsets(k, extent, out, stride, padding, dilation):
+    """Kernel offsets along one axis whose window overlaps the unpadded input.
+
+    An offset's window spans from its first tap to its last, ``out`` taps
+    ``stride`` apart, on an input of length ``extent`` padded by
+    ``padding``. The windows shift monotonically with the offset, so the
+    overlapping offsets form a range, possibly empty. Every offset with a
+    tap inside the input is in it.
+    """
+    lo = max(0, -(((out - 1) * stride - padding) // dilation))
+    hi = min(k - 1, (extent - 1 + padding) // dilation)
+    return range(lo, max(lo, hi + 1))
 
 
-def _im2col(xp, kh, kw, oh, ow, stride, dilation):
-    n, c = xp.shape[:2]
-    cols = np.empty((n, c, kh, kw, oh, ow))
-    for ki, kj, si, sj in _window_slices(kh, kw, oh, ow, stride, dilation):
-        cols[:, :, ki, kj] = xp[:, :, si, sj]
-    return cols
+def _window_slices(ki, kj, oh, ow, stride, dilation):
+    """(row slice, column slice) of the padded input for each kernel offset
+    in ``ki`` x ``kj``, row-major."""
+    return [
+        (
+            slice(i * dilation, i * dilation + (oh - 1) * stride + 1, stride),
+            slice(j * dilation, j * dilation + (ow - 1) * stride + 1, stride),
+        )
+        for i in ki
+        for j in kj
+    ]
 
 
 def _pad(x, padding, fill=0.0):
-    """Spatially pad an [N,C,H,W] array by ``padding`` on each side."""
+    """Spatially pad a 4-D array by ``padding`` on each side."""
     if not padding:
         return x
-    p = (padding, padding)
-    return np.pad(x, ((0, 0), (0, 0), p, p), constant_values=fill)
+    a, b, h, w = x.shape
+    xp = np.full((a, b, h + 2 * padding, w + 2 * padding), fill)
+    xp[:, :, padding : padding + h, padding : padding + w] = x
+    return xp
 
 
-def _col2im(dcols, x_shape, padding, kh, kw, oh, ow, stride, dilation):
-    """Gradient of the unpadded [N,C,H,W] input from column gradients."""
-    n, c, h, w = x_shape
-    dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
-    for ki, kj, si, sj in _window_slices(kh, kw, oh, ow, stride, dilation):
-        dxp[:, :, si, sj] += dcols[:, :, ki, kj]
-    if not padding:
-        return dxp
-    return dxp[:, :, padding : padding + h, padding : padding + w].copy()
+def _im2col(xp, slices, oh, ow, axis):
+    """Windows of the padded 4-D ``xp``, one per slice pair, stacked along
+    ``axis`` of a new contiguous array."""
+    shape = [*xp.shape[:2], oh, ow]
+    shape.insert(axis, len(slices))
+    cols = np.empty(shape)
+    lead = (slice(None),) * axis
+    for i, (si, sj) in enumerate(slices):
+        cols[lead + (i,)] = xp[:, :, si, sj]
+    return cols
+
+
+def _col2im(dcols, axis, x_shape, padding, slices):
+    """Gradient of the unpadded 4-D input from column gradients whose kernel
+    offsets run along ``axis``."""
+    a, b, h, w = x_shape
+    dxp = np.zeros((a, b, h + 2 * padding, w + 2 * padding))
+    lead = (slice(None),) * axis
+    for i, (si, sj) in enumerate(slices):
+        dxp[:, :, si, sj] += dcols[lead + (i,)]
+    return dxp[:, :, padding : padding + h, padding : padding + w]
 
 
 def conv2d(x, w, stride=1, padding=0, dilation=1, groups=1):
-    """Grouped, dilated 2-D convolution; weight shape [Cout, Cin/groups, kh, kw]."""
+    """Grouped, dilated 2-D convolution; weight shape [Cout, Cin/groups, kh, kw].
+
+    The output and the input gradient are contiguous [N,C,H,W] arrays. See
+    the module docstring for the column layout and the summation order.
+    """
     x, w = as_tensor(x), as_tensor(w)
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d: need 4-D input/weight, got {x.shape}, {w.shape}")
@@ -76,23 +123,45 @@ def conv2d(x, w, stride=1, padding=0, dilation=1, groups=1):
             f"conv2d: non-positive output extent {oh}x{ow} for input {h}x{wd}, "
             f"kernel {kh}x{kw}, stride {stride}, padding {padding}, dilation {dilation}"
         )
-    cols = _im2col(_pad(x.data, padding), kh, kw, oh, ow, stride, dilation)
-    # group the channel axis: cols [N,G,cg*kh*kw,P], weights [G,cog,cg*kh*kw]
-    cog = co // groups
-    colsg = cols.reshape(n, groups, cg * kh * kw, oh * ow)
-    wg = w.data.reshape(groups, cog, cg * kh * kw)
-    out = np.einsum("gok,ngkp->ngop", wg, colsg).reshape(n, co, oh, ow)
+    ki = _offsets(kh, h, oh, stride, padding, dilation)
+    kj = _offsets(kw, wd, ow, stride, padding, dilation)
+    kept = np.s_[:, :, ki.start : ki.stop, kj.start : kj.stop]
+    xt = x.data.transpose(1, 0, 2, 3)
+    if len(ki) == len(kj) == 1 and stride == 1 and (oh, ow) == (h, wd):
+        slices = None
+        cols = np.ascontiguousarray(xt)
+    else:
+        slices = _window_slices(ki, kj, oh, ow, stride, dilation)
+        cols = _im2col(_pad(xt, padding), slices, oh, ow, axis=1)
+    # group the channel axis: columns [G, cg*K', q], weights [G, cog, cg*K']
+    cog, kk, p = co // groups, cg * len(ki) * len(kj), oh * ow
+    colsg = cols.reshape(groups, kk, n * p)
+    wg = w.data[kept].reshape(groups, cog, kk)
+    out = np.einsum("gok,gkq->goq", wg, colsg).reshape(co, n, oh, ow)
 
     def fn(g):
-        gg = g.reshape(n, groups, cog, oh * ow)
-        dw = np.einsum("ngop,ngkp->gok", gg, colsg).reshape(co, cg, kh, kw)
-        dcols = np.einsum("gok,ngop->ngkp", wg, gg).reshape(
-            n, c, kh, kw, oh, ow
+        gg = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(groups, cog, n * p)
+        # per-image partial sums, then the images added in order
+        part = np.einsum(
+            "gonp,gknp->gokn",
+            gg.reshape(groups, cog, n, p),
+            colsg.reshape(groups, kk, n, p),
         )
-        dx = _col2im(dcols, x.data.shape, padding, kh, kw, oh, ow, stride, dilation)
-        return dx, dw
+        dw = np.zeros(w.data.shape)
+        dw[kept] = np.cumsum(part, axis=-1)[..., -1].reshape(
+            co, cg, len(ki), len(kj)
+        )
+        dcols = np.einsum("gok,goq->gkq", wg, gg)
+        if slices is None:
+            dxt = dcols.reshape(c, n, h, wd)
+        else:
+            dcols = dcols.reshape(c, len(slices), n, oh, ow)
+            dxt = _col2im(dcols, 1, xt.shape, padding, slices)
+        return np.ascontiguousarray(dxt.transpose(1, 0, 2, 3)), dw
 
-    return _record(out, [x, w], fn, "conv2d")
+    return _record(
+        np.ascontiguousarray(out.transpose(1, 0, 2, 3)), [x, w], fn, "conv2d"
+    )
 
 
 def pool2d(kind, x, window=3, stride=1, padding=1):
@@ -118,29 +187,28 @@ def pool2d(kind, x, window=3, stride=1, padding=1):
             f"window {window}, stride {stride}, padding {padding}"
         )
     fill = -np.inf if kind == "max" else 0.0
-    cols = _im2col(_pad(x.data, padding, fill), window, window, oh, ow, stride, 1)
-    flat = cols.reshape(n, c, window * window, oh, ow)
+    slices = _window_slices(range(window), range(window), oh, ow, stride, 1)
+    flat = _im2col(_pad(x.data, padding, fill), slices, oh, ow, axis=2)
 
     if kind == "avg":
         area = float(window * window)
         out = flat.sum(axis=2) / area
 
-        def fn(g):
-            dcols = np.broadcast_to(
-                g[:, :, None] / area, flat.shape
-            ).reshape(cols.shape)
-            return (_col2im(dcols, x.data.shape, padding, window, window,
-                            oh, ow, stride, 1),)
+        def dflat(g):
+            return np.broadcast_to(g[:, :, None] / area, flat.shape)
 
     else:
         arg = flat.argmax(axis=2)  # first index on ties
         out = np.take_along_axis(flat, arg[:, :, None], axis=2)[:, :, 0]
 
-        def fn(g):
-            dflat = np.zeros_like(flat)
-            np.put_along_axis(dflat, arg[:, :, None], g[:, :, None], axis=2)
-            return (_col2im(dflat.reshape(cols.shape), x.data.shape, padding,
-                            window, window, oh, ow, stride, 1),)
+        def dflat(g):
+            d = np.zeros_like(flat)
+            np.put_along_axis(d, arg[:, :, None], g[:, :, None], axis=2)
+            return d
+
+    def fn(g):
+        dx = _col2im(dflat(g), 2, x.data.shape, padding, slices)
+        return (np.ascontiguousarray(dx),)
 
     return _record(out, [x], fn, "pool2d")
 
@@ -151,10 +219,9 @@ def normalize_no_affine(x, eps=1e-5):
     if x.ndim != 4:
         raise ShapeError(f"normalize: need 4-D input, got {x.shape}")
     axes = (0, 2, 3)
-    mu = x.data.mean(axis=axes, keepdims=True)
-    var = x.data.var(axis=axes, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = (x.data - mu) * inv
+    d = x.data - x.data.mean(axis=axes, keepdims=True)
+    inv = 1.0 / np.sqrt(np.mean(d * d, axis=axes, keepdims=True) + eps)
+    y = d * inv
 
     def fn(g):
         gm = g.mean(axis=axes, keepdims=True)
@@ -166,7 +233,10 @@ def normalize_no_affine(x, eps=1e-5):
 
 def batch_channel_stats(x_data):
     """Plain per-channel mean and variance over batch and spatial dims."""
-    return x_data.mean(axis=(0, 2, 3)), x_data.var(axis=(0, 2, 3))
+    axes = (0, 2, 3)
+    mu = x_data.mean(axis=axes, keepdims=True)
+    d = x_data - mu
+    return mu.reshape(-1), np.mean(d * d, axis=axes)
 
 
 def channel_standardize(x, mean, var, eps=1e-5):

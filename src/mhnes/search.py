@@ -5,8 +5,10 @@ derived from the seed plus a fixed tag, so repeated runs are bit-identical.
 Budgets count optimization iterations; one bilevel iteration (an architecture
 update plus a weight update) is one step. A searcher's optional
 ``epoch_hook(epoch, net, arch, (val_x, val_y))`` runs after every search
-epoch and receives the searcher's own validation split. A non-finite step
-loss raises ``FloatingPointError`` naming the budget phase, epoch and step.
+epoch and receives the searcher's own validation split; ``epoch`` counts
+across the whole search, so DrNAS's stage 2 continues after stage 1's last
+epoch. A non-finite step loss raises ``FloatingPointError`` naming the
+budget phase, the epoch within that phase and the step.
 """
 
 from __future__ import annotations
@@ -124,7 +126,10 @@ def bilevel_search_step(net, arch, w_opt, a_opt, train_batch, val_batch, hp, lr,
 
 
 def _run_bilevel_phase(net, arch, hp, epochs, warmstart, data_split, rng,
-                       sample_rng=None, epoch_hook=None, phase="search"):
+                       sample_rng=None, epoch_hook=None, phase="search",
+                       first_epoch=0):
+    """Run ``epochs`` bilevel epochs; ``epoch_hook`` sees the search-wide
+    epoch index ``first_epoch + epoch``, the non-finite check the phase's own."""
     (tr_x, tr_y), (va_x, va_y) = data_split
     w_opt = SGD(
         net.parameters(),
@@ -160,7 +165,7 @@ def _run_bilevel_phase(net, arch, hp, epochs, warmstart, data_split, rng,
             _check_finite(phase, epoch, steps, *step_losses)
             steps += 1
         if epoch_hook is not None:
-            epoch_hook(epoch, net, arch, (va_x, va_y))
+            epoch_hook(first_epoch + epoch, net, arch, (va_x, va_y))
     return steps
 
 
@@ -227,6 +232,7 @@ def drnas_search(bundle, spec: ModelSpec, hp: SearchHyperparams, seed,
     steps = _run_bilevel_phase(
         net2, arch2, hp, hp.drnas_stage_epochs, hp.drnas_warmstart_epochs, split,
         rng, sample_rng=sample_rng, epoch_hook=epoch_hook, phase="search_stage2",
+        first_epoch=hp.drnas_stage_epochs,
     )
     budget.add("search_stage2", steps, k=hp.drnas_stage2_k)
     return discretize(arch2), budget, arch2

@@ -38,3 +38,45 @@ def random_prob_rows(rng, n, c, scale=1.0):
     z = rng.normal(scale=scale, size=(n, c))
     e = np.exp(z - z.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
+
+
+def im2col_conv2d(x, w, g, stride=1, padding=0, dilation=1, groups=1):
+    """Reference conv: full im2col over every kernel offset, then einsum.
+
+    Returns (out, dx, dw) for input ``x``, weight ``w`` and output gradient
+    ``g``; ``mhnes.convops.conv2d`` must match it bit for bit whenever the
+    output has more than one pixel.
+    """
+    n, c, h, wd = x.shape
+    co, cg, kh, kw = w.shape
+    oh = (h + 2 * padding - dilation * (kh - 1) - 1) // stride + 1
+    ow = (wd + 2 * padding - dilation * (kw - 1) - 1) // stride + 1
+    pads = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+
+    def windows():
+        for ki in range(kh):
+            for kj in range(kw):
+                yield (
+                    ki,
+                    kj,
+                    slice(ki * dilation, ki * dilation + (oh - 1) * stride + 1, stride),
+                    slice(kj * dilation, kj * dilation + (ow - 1) * stride + 1, stride),
+                )
+
+    xp = np.pad(x, pads)
+    cols = np.empty((n, c, kh, kw, oh, ow))
+    for ki, kj, si, sj in windows():
+        cols[:, :, ki, kj] = xp[:, :, si, sj]
+    cog = co // groups
+    colsg = cols.reshape(n, groups, cg * kh * kw, oh * ow)
+    wg = w.reshape(groups, cog, cg * kh * kw)
+    out = np.einsum("gok,ngkp->ngop", wg, colsg).reshape(n, co, oh, ow)
+
+    gg = g.reshape(n, groups, cog, oh * ow)
+    dw = np.einsum("ngop,ngkp->gok", gg, colsg).reshape(co, cg, kh, kw)
+    dcols = np.einsum("gok,ngop->ngkp", wg, gg).reshape(n, c, kh, kw, oh, ow)
+    dxp = np.zeros(xp.shape)
+    for ki, kj, si, sj in windows():
+        dxp[:, :, si, sj] += dcols[:, :, ki, kj]
+    dx = dxp[:, :, padding : padding + h, padding : padding + wd].copy()
+    return out, dx, dw

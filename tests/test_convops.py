@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from support import im2col_conv2d
 
 from mhnes import convops, tensor as T
 from mhnes.convops import conv2d, conv_out_extent, normalize_no_affine, pool2d
@@ -127,6 +128,81 @@ class TestConv2d:
             assert conv2d(x, w, s, p, d).shape == (1, 1, oh, oh)
 
 
+# (n, c, h, c_out, groups, k, stride, padding, dilation) of the convs the
+# search and pool workloads run
+WORKLOAD_CONVS = {
+    "sep3x3-2x2": (32, 16, 2, 16, 16, 3, 1, 1, 1),
+    "sep5x5-2x2": (32, 16, 2, 16, 16, 5, 1, 2, 1),
+    "dil3x3-2x2": (32, 16, 2, 16, 16, 3, 1, 2, 2),
+    "dil5x5-2x2-one-offset": (32, 16, 2, 16, 16, 5, 1, 4, 2),
+    "sep3x3-stride2": (32, 16, 4, 16, 16, 3, 2, 1, 1),
+    "sep5x5-stride2": (32, 16, 4, 16, 16, 5, 2, 2, 1),
+    "dil5x5-stride2": (32, 16, 4, 16, 16, 5, 2, 4, 2),
+    "pointwise-stride2": (8, 16, 16, 16, 1, 1, 2, 0, 1),
+    "backbone-stem-16x16": (8, 1, 16, 16, 1, 3, 1, 1, 1),
+    "backbone-16x16-stride2": (8, 16, 16, 16, 1, 3, 2, 1, 1),
+    "backbone-8x8": (8, 16, 8, 16, 1, 3, 1, 1, 1),
+    "pointwise-64to16": (32, 64, 2, 16, 1, 1, 1, 0, 1),
+    "pointwise-4x4": (32, 16, 4, 16, 1, 1, 1, 0, 1),
+    "partial4-sep3x3": (16, 4, 2, 4, 4, 3, 1, 1, 1),
+    "partial4-dil3x3-stride2": (16, 4, 4, 4, 4, 3, 2, 2, 2),
+    "partial4-pointwise": (16, 4, 2, 4, 1, 1, 1, 0, 1),
+}
+
+
+class TestConv2dBitExact:
+    @pytest.mark.parametrize(
+        "n,c,h,co,groups,k,stride,padding,dilation",
+        WORKLOAD_CONVS.values(),
+        ids=WORKLOAD_CONVS.keys(),
+    )
+    def test_matches_full_im2col(self, n, c, h, co, groups, k, stride, padding,
+                                 dilation):
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.normal(size=(n, c, h, h)), requires_grad=True)
+        w = Tensor(rng.normal(size=(co, c // groups, k, k)), requires_grad=True)
+        with T.Tape():
+            out = conv2d(x, w, stride, padding, dilation, groups)
+            g = rng.normal(size=out.shape)
+            T.backward((out * Tensor(g)).sum())
+        want = im2col_conv2d(x.data, w.data, g, stride, padding, dilation, groups)
+        for got, ref in zip((out.data, x.grad, w.grad), want):
+            np.testing.assert_array_equal(got, ref)
+
+    def test_output_reading_only_padding_is_zero(self):
+        x = Tensor(np.ones((2, 3, 1, 1)), requires_grad=True)
+        w = Tensor(np.ones((3, 3, 1, 1)), requires_grad=True)
+        with T.Tape():
+            out = conv2d(x, w, stride=3, padding=1)
+            T.backward(out.sum())
+        assert out.shape == (2, 3, 1, 1)
+        for a in (out.data, x.grad, w.grad):
+            np.testing.assert_array_equal(a, 0.0)
+
+    @given(
+        k=st.sampled_from([1, 3, 5, 7]),
+        extent=st.integers(1, 12),
+        s=st.integers(1, 3),
+        p=st.integers(0, 6),
+        d=st.integers(1, 3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_offsets_match_brute_force_overlap(self, k, extent, s, p, d):
+        out = conv_out_extent(extent, k, s, p, d)
+        assume(out > 0)
+        span = range((out - 1) * s + 1)
+        overlap = [
+            ki for ki in range(k)
+            if any(0 <= ki * d - p + t < extent for t in span)
+        ]
+        assert list(convops._offsets(k, extent, out, s, p, d)) == overlap
+        with_tap = {
+            ki for ki in range(k)
+            if any(0 <= ki * d - p + i * s < extent for i in range(out))
+        }
+        assert with_tap <= set(overlap)
+
+
 class TestPool2d:
     def test_constant_input_preserved(self):
         x = Tensor(np.full((1, 2, 4, 4), 3.5))
@@ -194,6 +270,18 @@ class TestNormalize:
             lambda x: (normalize_no_affine(x) * Tensor(mask)).sum(), [x]
         )
         assert err < 1e-5
+
+    @pytest.mark.parametrize("shape", [(32, 16, 2, 2), (8, 16, 16, 16), (3, 2, 4, 4)])
+    def test_matches_two_pass_variance_bitwise(self, shape):
+        x = np.random.default_rng(4).normal(loc=1.5, size=shape)
+        axes = (0, 2, 3)
+        mu = x.mean(axis=axes, keepdims=True)
+        var = x.var(axis=axes, keepdims=True)
+        want = (x - mu) * (1.0 / np.sqrt(var + 1e-5))
+        np.testing.assert_array_equal(normalize_no_affine(Tensor(x)).data, want)
+        mean, var = convops.batch_channel_stats(x)
+        np.testing.assert_array_equal(mean, x.mean(axis=axes))
+        np.testing.assert_array_equal(var, x.var(axis=axes))
 
     def test_eval_standardize_uses_given_stats(self):
         rng = np.random.default_rng(2)

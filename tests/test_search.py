@@ -157,6 +157,16 @@ class TestDrnas:
         phases = {p["phase"]: p["steps"] for p in budget.phases}
         assert phases["search_stage1"] == phases["search_stage2"] == 2
 
+    def test_epoch_hook_sees_search_wide_epochs(self, bundle):
+        hp = dataclasses.replace(
+            FAST_HP, drnas_stage_epochs=1, drnas_warmstart_epochs=0
+        )
+        seen = []
+        search.drnas_search(
+            bundle, TINY, hp, seed=2, epoch_hook=lambda epoch, *_: seen.append(epoch)
+        )
+        assert seen == [0, 1]
+
     def test_concentrations_stay_positive(self, bundle):
         _, _, arch = search.drnas_search(bundle, TINY, FAST_HP, seed=3)
         for a in arch.alpha:
