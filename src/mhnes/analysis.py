@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import losses
-from .metrics import MetricReport, PredictionMatrix
+from . import losses, metrics
 from .search import loss_backward, rng_for, train_discrete
 from .space import ModelSpec, hamming, sample_random_genotype
 
@@ -190,8 +189,7 @@ def regret_study(bundle, base_spec: ModelSpec, m_list, samples_per_m,
                 rng = rng_for([group, m, i], "regret-sample")
                 geno = sample_random_genotype(spec, rng)
                 model, _ = train_discrete(geno, bundle, train_hp, seed=[group, m, i])
-                pm = PredictionMatrix(model.predict(val_x), val_y)
-                nlls.append(MetricReport.from_predictions(pm).nll)
+                nlls.append(metrics.ensemble_nll(model.predict(val_x), val_y))
             best = min(nlls)
             for i, v in enumerate(nlls):
                 study.rows.append(

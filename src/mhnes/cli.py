@@ -180,7 +180,7 @@ def _cmd_train(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     np.savez(out / "weights.npz", **model.state_arrays())
-    ensemble = Ensemble([model], [genotype], "train")
+    ensemble = Ensemble([model], "train")
     _write_metrics(out, ensemble, bundle, cfg, args.seed, budget.total_steps, wall)
     (out / "budget.json").write_text(
         json.dumps(budget.to_dict(), indent=1, sort_keys=True) + "\n"
@@ -199,7 +199,7 @@ def _cmd_eval(args):
         model.load_state_arrays(dict(arrays))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_metrics(out, Ensemble([model], [genotype], "eval"), bundle, cfg, 0, 0, 0.0)
+    _write_metrics(out, Ensemble([model], "eval"), bundle, cfg, 0, 0, 0.0)
     print((out / "metrics.csv").read_text(), end="")
     return 0
 

@@ -84,7 +84,7 @@ def model_spec_from_dict(d, path="model"):
     for op in spec.ops:
         _check(op in OP_BUILDERS, f"{path}.ops", f"unknown operation {op!r}")
     _check(len(set(spec.ops)) == len(spec.ops), f"{path}.ops", "duplicate operation")
-    for name in ("backbone_layers", "backbone_width", "head_width", "in_channels"):
+    for name in ("backbone_layers", "backbone_width", "head_width"):
         _check(getattr(spec, name) >= 1, f"{path}.{name}", "must be >= 1")
     return spec
 

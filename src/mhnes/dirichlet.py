@@ -76,11 +76,6 @@ def sample_simplex_rows(conc, rng):
     return _record(w, [conc], fn, "dirichlet_sample")
 
 
-def expected_simplex_rows(conc_data):
-    """Dirichlet mean per row: concentration / row sum (plain arrays)."""
-    return conc_data / conc_data.sum(axis=-1, keepdims=True)
-
-
 def row_normalize(x):
     """Differentiable per-row normalization x / sum(x) of a 2-D tensor."""
     x = as_tensor(x)

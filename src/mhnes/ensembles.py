@@ -1,9 +1,12 @@
 """Ensemble selection and the non-one-shot baseline constructors.
 
-A pool member is a trained model plus its validation predictions; forward
-selection greedily grows the member set that minimizes ensemble validation
-NLL. Baselines cover random samples, random search, pools with architectural
-or hyperparameter variation, and their multi-headed counterparts.
+An ensemble is its trained models: each model's heads are members, and its
+genotype is ``model.genotype``. A pool member is a trained model too, and
+every choice between pool members minimizes one score,
+``metrics.ensemble_nll`` of their validation predictions: ``best`` keeps the
+lowest-scoring member and ``forward_select`` greedily grows the member set.
+Baselines cover random samples, random search, pools with architectural or
+hyperparameter variation, and their multi-headed counterparts.
 """
 
 from __future__ import annotations
@@ -15,27 +18,8 @@ import numpy as np
 
 from . import metrics
 from .config import TrainHyperparams
-from .metrics import MetricReport, PredictionMatrix
 from .search import Budget, select_min_nll, train_discrete
 from .space import ModelSpec, sample_random_genotype
-from .supernet import DiscreteNetwork
-
-
-@dataclass
-class PoolMember:
-    genotype: object
-    model: DiscreteNetwork
-    val_probs: np.ndarray  # [heads, N, C]
-    val_nll: float
-
-
-@dataclass
-class EnsemblePool:
-    members: list
-    val_labels: np.ndarray
-
-    def __len__(self):
-        return len(self.members)
 
 
 @dataclass
@@ -43,7 +27,6 @@ class Ensemble:
     """Final ensemble: trained models whose heads are the members."""
 
     models: list
-    genotypes: list
     method: str
 
     def predict_members(self, images, batch=256):
@@ -53,43 +36,36 @@ class Ensemble:
         return sum(m.param_count() for m in self.models)
 
     @property
+    def genotypes(self):
+        return [m.genotype for m in self.models]
+
+    @property
     def num_members(self):
         return sum(m.genotype.num_heads for m in self.models)
 
 
-def forward_select(pool: EnsemblePool, num_members, with_replacement=False):
-    """Greedy member indices minimizing ensemble validation NLL.
+def forward_select(val_probs, labels, num_members):
+    """Greedy indices into ``val_probs`` minimizing ensemble validation NLL.
 
-    Starts empty and repeatedly adds the member whose inclusion gives the
-    lowest ensemble NLL; ties resolve to the lowest pool index.
+    ``val_probs`` holds one ``[heads, N, C]`` probability array per pool
+    member and ``labels`` the ``[N]`` validation labels. Selection starts
+    empty and repeatedly adds, without replacement, the member whose
+    inclusion gives the lowest ``metrics.ensemble_nll``; ties resolve to the
+    lowest pool index.
     """
-    if not with_replacement and num_members > len(pool):
-        raise ValueError(
-            f"pool of {len(pool)} cannot fill {num_members} slots without replacement"
-        )
+    if num_members > len(val_probs):
+        raise ValueError(f"pool of {len(val_probs)} cannot fill {num_members} slots")
     chosen = []
-    labels = pool.val_labels
     for _ in range(num_members):
-        scores = []
-        for i, cand in enumerate(pool.members):
-            if not with_replacement and i in chosen:
-                scores.append(np.inf)
-                continue
-            stack = [pool.members[j].val_probs for j in chosen] + [cand.val_probs]
-            avg = metrics.ensemble_average(
-                PredictionMatrix(np.concatenate(stack), labels)
+        rest = [i for i in range(len(val_probs)) if i not in chosen]
+        scores = [
+            metrics.ensemble_nll(
+                np.concatenate([val_probs[j] for j in chosen + [i]]), labels
             )
-            scores.append(metrics.nll(avg, labels))
-        chosen.append(select_min_nll(scores))
+            for i in rest
+        ]
+        chosen.append(rest[select_min_nll(scores)])
     return chosen
-
-
-def _trained_member(genotype, bundle, hp, seed):
-    model, budget = train_discrete(genotype, bundle, hp, seed)
-    val_x, val_y = bundle.split("val")
-    probs = model.predict(val_x)
-    report = MetricReport.from_predictions(PredictionMatrix(probs, val_y))
-    return PoolMember(genotype, model, probs, report.nll), budget
 
 
 def build_baseline(kind, bundle, spec: ModelSpec, train_hp: TrainHyperparams,
@@ -115,26 +91,27 @@ def build_baseline(kind, bundle, spec: ModelSpec, train_hp: TrainHyperparams,
     budget = Budget()
     m = spec.num_heads
     single = dataclasses.replace(spec, num_heads=1)
-    val_labels = bundle.split("val")[1]
+    val_x, val_y = bundle.split("val")
 
     def sample(space, n):
         return [sample_random_genotype(space, rng) for _ in range(n)]
 
     def train_pool(tag, genotypes, hps=None):
-        members = []
+        models = []
         for i, geno in enumerate(genotypes):
             hp = hps[i] if hps else train_hp
-            member, b = _trained_member(geno, bundle, hp, [seed, tag, i])
+            model, b = train_discrete(geno, bundle, hp, [seed, tag, i])
             budget.merge(b)
-            members.append(member)
-        return members
+            models.append(model)
+        return models
 
-    def best(members):
-        return members[select_min_nll([mem.val_nll for mem in members])]
+    def best(models):
+        scores = [metrics.ensemble_nll(model.predict(val_x), val_y) for model in models]
+        return models[select_min_nll(scores)]
 
-    def selected(members):
-        picked = forward_select(EnsemblePool(members, val_labels), m)
-        return [members[i] for i in picked]
+    def selected(models):
+        picked = forward_select([model.predict(val_x) for model in models], val_y, m)
+        return [models[i] for i in picked]
 
     if kind == "deepens_sample":
         chosen = train_pool(1, sample(single, 1) * m)
@@ -159,7 +136,4 @@ def build_baseline(kind, bundle, spec: ModelSpec, train_hp: TrainHyperparams,
         chosen = [best(train_pool(8, sample(spec, pool_size)))]
     else:
         raise ValueError(f"unknown baseline kind {kind!r}")
-    return (
-        Ensemble([c.model for c in chosen], [c.genotype for c in chosen], kind),
-        budget,
-    )
+    return Ensemble(chosen, kind), budget

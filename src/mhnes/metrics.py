@@ -52,6 +52,13 @@ def nll(probs, labels):
     return float(np.mean(-np.log(np.maximum(picked, PROB_FLOOR))))
 
 
+def ensemble_nll(probs, labels):
+    """NLL of the member average of an [M, N, C] probability stack: the one
+    score every validation choice (best member, forward selection, best
+    sampled genotype) minimizes."""
+    return nll(ensemble_average(PredictionMatrix(probs, labels)), labels)
+
+
 def error(probs, labels):
     """Fraction misclassified; argmax ties resolve to the lowest class."""
     probs = np.asarray(probs)

@@ -96,7 +96,7 @@ def run_seed(config: ExperimentConfig, bundle, seed, seed_dir: Path):
             genotype, bundle, config.train, seed
         )
         budget.merge(train_budget)
-        ensemble = Ensemble([model], [genotype], method)
+        ensemble = Ensemble([model], method)
     else:
         ensemble, budget = build_baseline(
             method, bundle, config.model, config.train, config.pool_size, seed

@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import losses
+from . import losses, metrics
 from .config import SearchHyperparams, TrainHyperparams
-from .metrics import PredictionMatrix
 from .optim import SGD, Adam, cosine_lr
 from .space import ModelSpec, MultiHeadGenotype, sample_random_genotype
 from .supernet import ArchParams, DiscreteNetwork, Supernet, discretize
@@ -239,20 +238,21 @@ def drnas_search(bundle, spec: ModelSpec, hp: SearchHyperparams, seed,
 
 
 def genotype_val_nll(net, genotype, val_x, val_y, batch=256):
+    """Ensemble validation NLL of ``genotype`` on the shared supernet weights."""
     probs = net.predict(val_x, genotype=genotype, mode="discrete", batch=batch)
-    pm = PredictionMatrix(probs, val_y)
-    from . import metrics
-
-    return metrics.nll(metrics.ensemble_average(pm), val_y)
+    return metrics.ensemble_nll(probs, val_y)
 
 
-def select_min_nll(rows):
-    """Index of the lowest-NLL row; ties resolve to the first."""
-    best, best_v = 0, rows[0]
-    for i, v in enumerate(rows[1:], start=1):
-        if v < best_v:
-            best, best_v = i, v
-    return best
+def select_min_nll(scores):
+    """Index of the lowest score; ties resolve to the first. A non-finite
+    score raises ``FloatingPointError`` instead of being skipped or chosen."""
+    scores = np.asarray(scores, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise FloatingPointError(
+            f"select_min_nll: non-finite score {scores[bad[0]]} at index {bad[0]}"
+        )
+    return int(np.argmin(scores))
 
 
 def randomnas_search(bundle, spec: ModelSpec, hp: SearchHyperparams, seed,

@@ -34,7 +34,6 @@ class ModelSpec:
     """Shape of the multi-headed model and its head search space."""
 
     num_classes: int = 4
-    in_channels: int = 1
     num_heads: int = 3
     cells_per_head: int = 3
     nodes: int = 4

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import nn, tensor as T
-from .dirichlet import expected_simplex_rows, row_normalize, sample_simplex_rows
+from .dirichlet import row_normalize, sample_simplex_rows
 from .space import ModelSpec, MultiHeadGenotype, NodeChoice, build_op, genotype_from_spec
 from .tensor import Tensor
 
@@ -214,12 +214,16 @@ class ResidualBlock(nn.Module):
 
 
 class Backbone(nn.Module):
-    """Stem conv plus two stride-2 residual stages of fixed width."""
+    """Stem conv plus two stride-2 residual stages of fixed width.
+
+    The stem reads one input channel: the dataset format stores
+    single-channel images.
+    """
 
     def __init__(self, rng, spec: ModelSpec, track=False):
         super().__init__()
         w = spec.backbone_width
-        self.stem = nn.Conv2d(rng, spec.in_channels, w, 3, 1, 1)
+        self.stem = nn.Conv2d(rng, 1, w, 3, 1, 1)
         self.stem_norm = nn.Norm(w, track=track)
         blocks = []
         for _stage in range(2):
@@ -344,13 +348,12 @@ class DiscreteNetwork(nn.Module):
     fresh parameters — no weights are inherited from a supernetwork.
     """
 
-    def __init__(self, rng, genotype: MultiHeadGenotype, num_classes, in_channels=1, track=True):
+    def __init__(self, rng, genotype: MultiHeadGenotype, num_classes, track=True):
         super().__init__()
         genotype.validate()
         self.genotype = genotype
         spec = ModelSpec(
             num_classes=num_classes,
-            in_channels=in_channels,
             num_heads=genotype.num_heads,
             cells_per_head=genotype.cells_per_head,
             nodes=genotype.nodes,
@@ -392,42 +395,32 @@ class DiscreteNetwork(nn.Module):
 # discretization
 
 
-def _softmax_rows(a):
-    z = a - a.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def discretize(arch: ArchParams) -> MultiHeadGenotype:
     """Strongest-operation genotype from continuous architecture state.
 
-    Edges are ranked per node by their best operation weight (PC-DARTS:
-    scaled by the node-softmaxed edge weight; drnas: by the expected
-    Dirichlet weight); the top two edges are kept with their argmax
-    operations. Ties resolve to the lower edge index and lower op index.
+    Edges are ranked per node by their best operation weight, read from the
+    rng-free ``mixture_tables()`` of the continuous forward (softmax; drnas:
+    the expected Dirichlet weight) and, in PC-DARTS mode, scaled by the
+    node's softmaxed edge weights as in ``MixedCell``. The top two edges are
+    kept with their argmax operations. Ties resolve to the lower edge index
+    and lower op index.
     Non-finite architecture parameters raise ``FloatingPointError``.
     """
     if not np.all(np.isfinite(arch.flat())):
         raise FloatingPointError("discretize: non-finite architecture parameters")
     spec = arch.spec
     heads = []
-    for h in range(spec.num_heads):
+    for h, table in enumerate(t.data for t in arch.mixture_tables()):
         ops = arch.head_ops[h]
-        table = (
-            expected_simplex_rows(arch.alpha[h].data)
-            if arch.mode == "drnas"
-            else _softmax_rows(arch.alpha[h].data)
-        )
         strength = table.max(axis=1)
         best_op = table.argmax(axis=1)  # first max = lowest op index
         cell = []
         for j in range(spec.nodes):
             start, stop = spec.node_edge_range(j)
-            edge_strength = strength[start:stop].copy()
+            edge_strength = strength[start:stop]
             if arch.mode == "pcdarts":
-                b = arch.beta[h].data[start:stop]
-                bz = np.exp(b - b.max())
-                edge_strength *= bz / bz.sum()
+                beta = T.narrow(arch.beta[h], 0, start, stop - start)
+                edge_strength = edge_strength * T.softmax(beta, axis=0).data
             order = sorted(range(stop - start), key=lambda e: (-edge_strength[e], e))
             kept = sorted(order[:2])
             cell.append(

@@ -16,7 +16,7 @@ from support import random_prob_rows, supernet_as_discrete_arrays
 from mhnes import analysis, convops, losses, metrics, runner, search, tensor as T
 from mhnes.config import ExperimentConfig, SearchHyperparams, TrainHyperparams
 from mhnes.data import gen_synthetic
-from mhnes.ensembles import EnsemblePool, PoolMember, forward_select
+from mhnes.ensembles import forward_select
 from mhnes.metrics import PredictionMatrix
 from mhnes.space import ModelSpec, sample_random_genotype
 from mhnes.supernet import DiscreteNetwork, MixedEdge, Supernet, one_hot_arch
@@ -297,11 +297,10 @@ def test_metric_oracles():
 
 @criterion(5, "greedy selection within 1.05x of exhaustive; specialists exact")
 def test_forward_selection():
-    def pool_nll(pool, idxs):
-        stack = np.concatenate([pool.members[i].val_probs for i in idxs])
+    def pool_nll(pool, labels, idxs):
+        stack = np.concatenate([pool[i] for i in idxs])
         return metrics.nll(
-            metrics.ensemble_average(PredictionMatrix(stack, pool.val_labels)),
-            pool.val_labels,
+            metrics.ensemble_average(PredictionMatrix(stack, labels)), labels
         )
 
     rng = np.random.default_rng(50)
@@ -316,14 +315,15 @@ def test_forward_selection():
             z = rng.normal(size=(30, c)) + skew * np.eye(c)[labels]
             e = np.exp(z - z.max(axis=1, keepdims=True))
             probs = (e / e.sum(axis=1, keepdims=True))[None]
-            members.append(PoolMember(None, None, probs, 0.0))
-        pool = EnsemblePool(members, labels)
-        picked = forward_select(pool, m)
+            members.append(probs)
+        picked = forward_select(members, labels, m)
         best = min(
-            pool_nll(pool, combo)
+            pool_nll(members, labels, combo)
             for combo in itertools.combinations(range(pool_size), m)
         )
-        assert pool_nll(pool, picked) <= 1.05 * best, f"instance {instance}"
+        assert pool_nll(members, labels, picked) <= 1.05 * best, (
+            f"instance {instance}"
+        )
 
     # constructed specialist instances: greedy must be exactly optimal.
     # each specialist is perfect on its share and uniform elsewhere; the
@@ -343,17 +343,13 @@ def test_forward_selection():
         conf = 1.0 / c + 0.07
         generalist = np.full((n, c), (1 - conf) / (c - 1))
         generalist[np.arange(n), labels] = conf
-        members = [
-            PoolMember(None, None, p[None], 0.0)
-            for p in [generalist] + specialists
-        ]
-        pool = EnsemblePool(members, labels)
-        picked = forward_select(pool, c)
+        members = [p[None] for p in [generalist] + specialists]
+        picked = forward_select(members, labels, c)
         best = min(
-            pool_nll(pool, combo)
+            pool_nll(members, labels, combo)
             for combo in itertools.combinations(range(len(members)), c)
         )
-        assert pool_nll(pool, picked) == best
+        assert pool_nll(members, labels, picked) == best
         assert sorted(picked) == list(range(1, c + 1))
 
 

@@ -23,6 +23,8 @@ class TestValidation:
             ExperimentConfig.from_dict({"budget": 3})
         with pytest.raises(ConfigError, match=r"search\.lr"):
             ExperimentConfig.from_dict({"search": {"lr": 0.1}})
+        with pytest.raises(ConfigError, match=r"model\.in_channels"):
+            ExperimentConfig.from_dict({"model": {"in_channels": 1}})
 
     def test_out_of_range_names_path(self):
         with pytest.raises(ConfigError, match=r"search\.batch"):

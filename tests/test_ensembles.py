@@ -8,36 +8,33 @@ import pytest
 from mhnes import metrics
 from mhnes.config import TrainHyperparams
 from mhnes.data import gen_synthetic
-from mhnes.ensembles import EnsemblePool, PoolMember, build_baseline, forward_select
+from mhnes.ensembles import build_baseline, forward_select
 from mhnes.metrics import PredictionMatrix
 from mhnes.space import ModelSpec
 
 
 def synthetic_pool(rng, pool, n, c):
+    """Per-member [1, n, c] validation probabilities and their labels."""
     members = []
     labels = rng.integers(0, c, size=n)
     for i in range(pool):
         z = rng.normal(size=(n, c)) + 1.2 * np.eye(c)[labels] * rng.uniform(0, 2)
         e = np.exp(z - z.max(axis=1, keepdims=True))
-        probs = (e / e.sum(axis=1, keepdims=True))[None]
-        members.append(
-            PoolMember(None, None, probs, metrics.nll(probs[0], labels))
-        )
-    return EnsemblePool(members, labels)
+        members.append((e / e.sum(axis=1, keepdims=True))[None])
+    return members, labels
 
 
-def ensemble_nll(pool, idxs):
-    stack = np.concatenate([pool.members[i].val_probs for i in idxs])
+def ensemble_nll(pool, labels, idxs):
+    stack = np.concatenate([pool[i] for i in idxs])
     return metrics.nll(
-        metrics.ensemble_average(PredictionMatrix(stack, pool.val_labels)),
-        pool.val_labels,
+        metrics.ensemble_average(PredictionMatrix(stack, labels)), labels
     )
 
 
-def exhaustive_best(pool, m):
+def exhaustive_best(pool, labels, m):
     best = None
     for combo in itertools.combinations(range(len(pool)), m):
-        v = ensemble_nll(pool, combo)
+        v = ensemble_nll(pool, labels, combo)
         if best is None or v < best:
             best = v
     return best
@@ -48,20 +45,17 @@ class TestForwardSelect:
         n, c = 20, 3
         labels = np.arange(n) % c
         perfect = np.eye(c)[labels][None] * 0.94 + 0.02
-        members = [
-            PoolMember(None, None, np.full((1, n, c), 1.0 / c), np.log(c)),
-            PoolMember(None, None, perfect, 0.1),
-            PoolMember(None, None, np.full((1, n, c), 1.0 / c), np.log(c)),
-        ]
-        pool = EnsemblePool(members, labels)
-        assert forward_select(pool, 2)[0] == 1
+        pool = [np.full((1, n, c), 1.0 / c), perfect, np.full((1, n, c), 1.0 / c)]
+        assert forward_select(pool, labels, 2)[0] == 1
 
     @pytest.mark.parametrize("seed", range(12))
     def test_greedy_within_5_percent_of_exhaustive(self, seed):
         rng = np.random.default_rng(seed)
-        pool = synthetic_pool(rng, pool=5, n=40, c=3)
-        picked = forward_select(pool, 2)
-        assert ensemble_nll(pool, picked) <= 1.05 * exhaustive_best(pool, 2)
+        pool, labels = synthetic_pool(rng, pool=5, n=40, c=3)
+        picked = forward_select(pool, labels, 2)
+        assert ensemble_nll(pool, labels, picked) <= 1.05 * exhaustive_best(
+            pool, labels, 2
+        )
 
     def test_complementary_specialists_beat_generalist(self):
         # specialists are perfect on their half and uniform on the other
@@ -77,33 +71,22 @@ class TestForwardSelect:
         mediocre = np.full((n, c), 0.5)
         mediocre[np.arange(n), labels] = 0.62
         mediocre[np.arange(n), 1 - labels] = 0.38
-        pool = EnsemblePool(
-            [
-                PoolMember(None, None, p[None], metrics.nll(p, labels))
-                for p in (mediocre, a, b)
-            ],
-            labels,
-        )
-        picked = forward_select(pool, 2)
+        pool = [p[None] for p in (mediocre, a, b)]
+        picked = forward_select(pool, labels, 2)
         assert sorted(picked) == [1, 2]
-        assert ensemble_nll(pool, picked) == exhaustive_best(pool, 2)
+        assert ensemble_nll(pool, labels, picked) == exhaustive_best(pool, labels, 2)
 
     def test_ties_resolve_to_lowest_index(self):
         labels = np.zeros(4, dtype=int)
         same = np.full((1, 4, 2), 0.5)
-        pool = EnsemblePool(
-            [PoolMember(None, None, same.copy(), 0.7) for _ in range(3)], labels
-        )
-        assert forward_select(pool, 2) == [0, 1]
+        pool = [same.copy() for _ in range(3)]
+        assert forward_select(pool, labels, 2) == [0, 1]
 
     def test_pool_too_small_rejected(self):
         labels = np.zeros(2, dtype=int)
-        pool = EnsemblePool(
-            [PoolMember(None, None, np.full((1, 2, 2), 0.5), 0.7)], labels
-        )
+        pool = [np.full((1, 2, 2), 0.5)]
         with pytest.raises(ValueError, match="pool"):
-            forward_select(pool, 2)
-        assert forward_select(pool, 2, with_replacement=True) == [0, 0]
+            forward_select(pool, labels, 2)
 
 
 @pytest.fixture(scope="module")

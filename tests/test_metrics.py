@@ -175,6 +175,8 @@ class TestMetricReport:
         assert rep.nll == pytest.approx(
             metrics.nll(metrics.ensemble_average(pm), pm.labels)
         )
+        # the selection score is bit-identical to the reported ensemble NLL
+        assert metrics.ensemble_nll(pm.probs, pm.labels) == rep.nll
         assert len(rep.member_nll) == 3
         assert rep.oracle_nll <= min(rep.member_nll) + 1e-12
 

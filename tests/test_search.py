@@ -192,6 +192,14 @@ class TestRandomNas:
         assert search.select_min_nll([0.5]) == 0
         assert search.select_min_nll([2.0, 2.0]) == 0
 
+    @pytest.mark.parametrize(
+        "scores", [[np.nan, 1.0], [2.0, np.nan, 1.0], [1.0, np.inf]],
+        ids=["nan-first", "nan-middle", "inf-last"],
+    )
+    def test_selection_rejects_non_finite_scores(self, scores):
+        with pytest.raises(FloatingPointError, match="non-finite score"):
+            search.select_min_nll(scores)
+
     def test_deterministic(self, bundle):
         a, _, sa = search.randomnas_search(bundle, TINY, FAST_HP, seed=6)
         b, _, sb = search.randomnas_search(bundle, TINY, FAST_HP, seed=6)
