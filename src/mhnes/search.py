@@ -237,10 +237,17 @@ def drnas_search(bundle, spec: ModelSpec, hp: SearchHyperparams, seed,
     return discretize(arch2), budget, arch2
 
 
-def genotype_val_nll(net, genotype, val_x, val_y, batch=256):
-    """Ensemble validation NLL of ``genotype`` on the shared supernet weights."""
-    probs = net.predict(val_x, genotype=genotype, mode="discrete", batch=batch)
-    return metrics.ensemble_nll(probs, val_y)
+def genotype_val_nll(net, genotypes, val_x, val_y, batch=256):
+    """Ensemble validation NLL of each of ``genotypes`` on the shared
+    supernet weights, one score per genotype.
+
+    All are scored in one discrete pass: per ``batch``-sized chunk, the
+    backbone runs once and each head's first-cell inputs are computed once
+    (``Supernet.forward``). The scores equal those of scoring each genotype
+    alone at the same ``batch``.
+    """
+    probs = net.predict(val_x, genotype=genotypes, mode="discrete", batch=batch)
+    return [metrics.ensemble_nll(p, val_y) for p in probs]
 
 
 def select_min_nll(scores):
@@ -258,7 +265,11 @@ def select_min_nll(scores):
 def randomnas_search(bundle, spec: ModelSpec, hp: SearchHyperparams, seed,
                      epoch_hook=None):
     """Shared-weight training on randomly sampled genotypes, then selection
-    of the best of ``hp.eval_samples`` random genotypes by validation NLL."""
+    of the best of ``hp.eval_samples`` random genotypes by validation NLL.
+
+    The candidates are scored together by one ``genotype_val_nll`` call, so
+    the backbone features they share are computed once per chunk.
+    """
     rng = rng_for(seed, "randomnas")
     (tr_x, tr_y), (va_x, va_y) = _split_search_data(bundle, hp, rng)
     arch = ArchParams(spec, "plain", rng)
@@ -288,7 +299,7 @@ def randomnas_search(bundle, spec: ModelSpec, hp: SearchHyperparams, seed,
     if hp.eval_examples:
         va_x, va_y = va_x[: hp.eval_examples], va_y[: hp.eval_examples]
     candidates = [sample_random_genotype(spec, rng) for _ in range(hp.eval_samples)]
-    scores = [genotype_val_nll(net, g, va_x, va_y) for g in candidates]
+    scores = genotype_val_nll(net, candidates, va_x, va_y)
     budget.add("selection_evals", 0, evaluations=len(candidates))
     return candidates[select_min_nll(scores)], budget, scores
 

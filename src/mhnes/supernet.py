@@ -7,6 +7,13 @@ all its cells; the first cell reduces spatial extent). Partial-channel mode
 routes only 1/K of the channels through the operation mixture, the rest
 bypassing, followed by a channel shuffle. Edge weights (PC-DARTS mode)
 combine a node's incoming edges by a second softmax.
+
+A discrete forward scores a list of genotypes in one pass. The backbone and
+each head's first-cell input states do not depend on the genotype, nor do the
+first cell's edges that read those states (stride-2 reductions on the largest
+head maps). So they are computed once per batch and shared by every genotype;
+the rest of each head runs per genotype. Supernet norms use the statistics of
+the batch alone, so each genotype's output equals that of its own forward.
 """
 
 from __future__ import annotations
@@ -155,16 +162,31 @@ class MixedCell(nn.Module):
             stride = 2 if (reduction and i < 2) else 1
             self.edges.append(MixedEdge(rng, ops, c, stride, k, track))
 
-    def forward(self, x, table=None, betas=None, cell_genotype=None):
+    def forward(self, x, table=None, betas=None, cell_genotype=None, shared=None):
         """Mixture forward when ``table`` is given, masked single-op forward
-        when ``cell_genotype`` is given (only chosen edges are evaluated)."""
-        states = [self.pre[0](x), self.pre[1](x)]
+        when ``cell_genotype`` is given (only chosen edges are evaluated).
+
+        ``shared`` is a dict that a caller keeps across masked forwards of
+        the same ``x``. It holds the cell's two input states and each
+        ``(edge, op)`` output read from them, so each is computed once. They
+        depend only on ``x`` and the weights, not on the genotype, so reusing
+        them gives the same numbers as computing them again.
+        """
+        shared = {} if shared is None else shared
+        if "inputs" not in shared:
+            shared["inputs"] = [self.pre[0](x), self.pre[1](x)]
+        states = list(shared["inputs"])
         if cell_genotype is not None:
             for choice in cell_genotype:
                 start, _ = self.spec.node_edge_range(choice.node)
                 acc = None
                 for src, op_name in zip(choice.inputs, choice.ops):
-                    out = self.edges[start + src](states[src], op=op_name)
+                    key = (start + src, op_name)
+                    out = shared.get(key) if src < 2 else None
+                    if out is None:
+                        out = self.edges[start + src](states[src], op=op_name)
+                        if src < 2:
+                            shared[key] = out
                     acc = out if acc is None else T.add(acc, out)
                 states.append(acc)
         else:
@@ -252,9 +274,11 @@ class _HeadStack(nn.Module):
         self.cells = nn.ModuleList(cells)
         self.classifier = nn.Linear(rng, spec.nodes * c, spec.num_classes)
 
-    def forward(self, x, table=None, betas=None, cell_genotype=None):
-        for cell in self.cells:
-            x = cell(x, table, betas, cell_genotype)
+    def forward(self, x, table=None, betas=None, cell_genotype=None, shared=None):
+        """Class probabilities; ``shared`` goes to the first cell only, since
+        the inputs of later cells depend on the genotype."""
+        for i, cell in enumerate(self.cells):
+            x = cell(x, table, betas, cell_genotype, shared if i == 0 else None)
         pooled = x.mean(axis=(2, 3))
         return T.softmax(self.classifier(pooled), axis=1)
 
@@ -284,8 +308,16 @@ class Supernet(nn.Module):
         """Per-head class-probability matrices for a batch.
 
         continuous: operation mixtures from ArchParams (drnas: sampled with
-        ``rng`` when given). sampled/discrete: exactly one operation per
-        chosen edge of ``genotype`` is active.
+        ``rng`` when given). sampled: exactly one operation per chosen edge
+        of ``genotype`` is active. discrete: ``genotype`` is a list of G
+        genotypes, scored in one pass; returns one per-head list for each.
+
+        The discrete pass runs the backbone once, then each head once per
+        genotype, with the head's first-cell input states and the ``(edge,
+        op)`` outputs read from them computed once and released after that
+        head. None of these depend on the genotype, and norms use the
+        statistics of ``x`` alone, so every genotype's output is the same as
+        from a forward of its own. A sampled forward is the one-genotype case.
         """
         x = T.as_tensor(x)
         feats = self.backbone(x)
@@ -298,8 +330,14 @@ class Supernet(nn.Module):
         elif mode in ("sampled", "discrete"):
             if genotype is None:
                 raise ValueError(f"{mode} forward needs a genotype")
+            genotypes = [genotype] if mode == "sampled" else genotype
+            out = [[] for _ in genotypes]
             for h, head in enumerate(self.heads):
-                out.append(head(feats, cell_genotype=genotype.heads[h]))
+                shared = {}
+                for probs, g in zip(out, genotypes):
+                    probs.append(head(feats, cell_genotype=g.heads[h], shared=shared))
+            if mode == "sampled":
+                out = out[0]
         else:
             raise ValueError(f"unknown forward mode {mode!r}")
         return out
@@ -307,7 +345,9 @@ class Supernet(nn.Module):
     __call__ = forward
 
     def predict(self, images, genotype=None, mode="continuous", batch=256):
-        """Stacked per-head probabilities [M, N, C] without recording.
+        """Stacked per-head probabilities [M, N, C] without recording; in
+        discrete mode ``genotype`` is a list of G genotypes and the result
+        is [G, M, N, C].
 
         Supernet norms always use batch statistics, so each example's output
         depends on the other examples of its ``batch``-sized chunk: results
@@ -319,13 +359,19 @@ class Supernet(nn.Module):
 
 
 def _predict_chunks(forward, images, batch):
-    """Stacked per-head probabilities [M, N, C] of ``forward`` over
-    ``batch``-sized chunks of ``images``, without recording."""
+    """Probabilities of ``forward`` over ``batch``-sized chunks of
+    ``images``, without recording: its (nested) lists of [n, C] tensors
+    stacked into one array, with the chunks joined on the example axis."""
     chunks = []
     for lo in range(0, len(images), batch):
-        probs = forward(Tensor(images[lo : lo + batch]))
-        chunks.append(np.stack([p.data for p in probs]))
-    return np.concatenate(chunks, axis=1)
+        chunks.append(_stack(forward(Tensor(images[lo : lo + batch]))))
+    return np.concatenate(chunks, axis=-2)
+
+
+def _stack(probs):
+    if isinstance(probs, Tensor):
+        return probs.data
+    return np.stack([_stack(p) for p in probs])
 
 
 def _chosen_edge_ops(spec: ModelSpec, cell_genotype):

@@ -216,7 +216,7 @@ def test_one_hot_consistency():
 
     assert discretize(arch) == geno
     batch = np.random.default_rng(24).normal(size=(5, 1, 16, 16))
-    got = sup.predict(batch, genotype=geno, mode="discrete")
+    got = sup.predict(batch, genotype=[geno], mode="discrete")[0]
     want = np.stack([p.data for p in net(Tensor(batch))])
     assert np.abs(got - want).max() < 1e-10
 

@@ -7,12 +7,19 @@ import numpy as np
 import pytest
 from support import supernet_as_discrete_arrays
 
-from mhnes import losses, search, tensor as T
+from mhnes import losses, metrics, search, tensor as T
 from mhnes.config import SearchHyperparams, TrainHyperparams
 from mhnes.data import gen_synthetic
 from mhnes.optim import SGD
 from mhnes.space import ModelSpec, sample_random_genotype
-from mhnes.supernet import ArchParams, DiscreteNetwork, Supernet, one_hot_arch
+from mhnes.supernet import (
+    ArchParams,
+    Backbone,
+    DiscreteNetwork,
+    MixedEdge,
+    Supernet,
+    one_hot_arch,
+)
 from mhnes.tensor import Tape, Tensor, backward, grad_check
 
 
@@ -214,6 +221,72 @@ class TestRandomNas:
             _, _, scores = search.randomnas_search(bundle, TINY, hp, seed)
             wins += min(scores) <= np.median(scores)
         assert wins >= 2
+
+
+class TestSharedScoring:
+    """``genotype_val_nll`` scores a list of genotypes in one discrete pass."""
+
+    SPEC = ModelSpec(
+        num_classes=3, num_heads=2, cells_per_head=2, nodes=3,
+        backbone_width=8, head_width=8,
+    )
+
+    def _setup(self, n=10):
+        rng = np.random.default_rng(40)
+        net = Supernet(rng, self.SPEC, ArchParams(self.SPEC, "plain", rng), k=1)
+        genos = [sample_random_genotype(self.SPEC, rng) for _ in range(4)]
+        x = rng.normal(size=(n, 1, 16, 16))
+        y = rng.integers(0, self.SPEC.num_classes, size=n)
+        return net, genos, x, y
+
+    @staticmethod
+    def _alone(net, geno, x, y, batch):
+        chunks = []
+        for lo in range(0, len(x), batch):
+            probs = net(Tensor(x[lo : lo + batch]), mode="sampled", genotype=geno)
+            chunks.append(np.stack([p.data for p in probs]))
+        return metrics.ensemble_nll(np.concatenate(chunks, axis=1), y)
+
+    @pytest.mark.parametrize("batch", [10, 4], ids=["one-chunk", "ragged-chunks"])
+    @pytest.mark.parametrize("pick", [[0, 1, 2, 3], [2, 0, 2], [3]],
+                             ids=["distinct", "repeated", "single"])
+    def test_equals_scoring_each_genotype_alone(self, batch, pick):
+        net, genos, x, y = self._setup()
+        gs = [genos[i] for i in pick]
+        got = search.genotype_val_nll(net, gs, x, y, batch)
+        assert got == [self._alone(net, g, x, y, batch) for g in gs]
+
+    def test_backbone_and_first_cell_edges_run_once_per_chunk(self, monkeypatch):
+        net, genos, x, y = self._setup(n=8)
+        gs = genos + [genos[0]]  # G=5, one repeated
+        backbone_calls = []
+        edge_calls = []
+        run_backbone, run_edge = Backbone.__call__, MixedEdge.__call__
+
+        def count_backbone(self, x):
+            backbone_calls.append(x.shape[0])
+            return run_backbone(self, x)
+
+        def count_edge(self, x, w_row=None, op=None):
+            edge_calls.append((len(backbone_calls), id(self), op))
+            return run_edge(self, x, w_row, op)
+
+        monkeypatch.setattr(Backbone, "__call__", count_backbone)
+        monkeypatch.setattr(MixedEdge, "__call__", count_edge)
+        search.genotype_val_nll(net, gs, x, y, batch=4)
+        assert backbone_calls == [4, 4]
+        starts = [self.SPEC.node_edge_range(j)[0] for j in range(self.SPEC.nodes)]
+        for h, head in enumerate(net.heads):
+            # edges of the first cell that read its two input states
+            edges = {id(head.cells[0].edges[s + src]): s + src
+                     for s in starts for src in (0, 1)}
+            pairs = {(starts[c.node] + src, op) for g in gs for c in g.heads[h]
+                     for src, op in zip(c.inputs, c.ops) if src < 2}
+            for chunk in (1, 2):
+                from_inputs = [(edges[i], op) for c, i, op in edge_calls
+                               if c == chunk and i in edges]
+                assert len(from_inputs) <= len(pairs)
+                assert set(from_inputs) == pairs
 
 
 class TestTrainDiscrete:

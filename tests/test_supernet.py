@@ -156,7 +156,7 @@ class TestSupernetForward:
         net = DiscreteNetwork(np.random.default_rng(13), geno, spec.num_classes, track=False)
         net.load_state_arrays(supernet_as_discrete_arrays(sup, spec, geno))
         x = np.random.default_rng(14).normal(size=(4, 1, 16, 16))
-        got = sup.predict(x, genotype=geno, mode="discrete")
+        got = sup.predict(x, genotype=[geno], mode="discrete")[0]
         want = np.stack([p.data for p in net(Tensor(x))])
         assert np.abs(got - want).max() < 1e-10
 
