@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, data as datamod, runner, search as searchmod
-from .config import ConfigError, ExperimentConfig, ONE_SHOT_METHODS
+from .config import ConfigError, DataSpec, ExperimentConfig, ONE_SHOT_METHODS
 from .data import DataFormatError
 from .ensembles import Ensemble
 from .space import MultiHeadGenotype
@@ -32,6 +32,14 @@ class UsageError(Exception):
     pass
 
 
+# ``dataset gen`` flag -> the DataSpec field it sets (and takes its default from)
+_GEN_FLAGS = {
+    "--classes": "classes", "--train": "n_train", "--val": "n_val",
+    "--test": "n_test", "--size": "image_size", "--noise": "noise_std",
+    "--seed": "seed",
+}
+
+
 def _build_parser():
     p = argparse.ArgumentParser(prog="mhnes", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -39,31 +47,32 @@ def _build_parser():
     ds = sub.add_parser("dataset", help="generate or inspect dataset files")
     ds_sub = ds.add_subparsers(dest="dataset_command", required=True)
     gen = ds_sub.add_parser("gen", help="generate a synthetic dataset")
-    gen.add_argument("--classes", type=int, default=4)
-    gen.add_argument("--train", type=int, default=2000)
-    gen.add_argument("--val", type=int, default=500)
-    gen.add_argument("--test", type=int, default=500)
-    gen.add_argument("--size", type=int, default=16)
-    gen.add_argument("--noise", type=float, default=0.15)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.set_defaults(func=_cmd_dataset_gen)
+    for flag, name in _GEN_FLAGS.items():
+        default = getattr(DataSpec, name)
+        gen.add_argument(flag, dest=name, type=type(default), default=default)
     gen.add_argument("--out", required=True)
     ins = ds_sub.add_parser("inspect", help="print dataset summary")
+    ins.set_defaults(func=_cmd_dataset_inspect)
     ins.add_argument("path")
 
     for name in ("search", "baseline"):
         sp = sub.add_parser(name, help=f"run a {name} method end to end")
+        sp.set_defaults(func=_cmd_run_method)
         sp.add_argument("--config", required=True)
         sp.add_argument("--seed", type=int, action="append", default=None,
                         help="override config seeds (repeatable)")
         sp.add_argument("--out", default=None, help="override output directory")
 
     tr = sub.add_parser("train", help="train a stored genotype")
+    tr.set_defaults(func=_cmd_train)
     tr.add_argument("--config", required=True)
     tr.add_argument("--genotype", required=True)
     tr.add_argument("--seed", type=int, default=0)
     tr.add_argument("--out", required=True)
 
     ev = sub.add_parser("eval", help="evaluate stored weights at all severities")
+    ev.set_defaults(func=_cmd_eval)
     ev.add_argument("--config", required=True)
     ev.add_argument("--genotype", required=True)
     ev.add_argument("--weights", required=True)
@@ -72,16 +81,19 @@ def _build_parser():
     an = sub.add_parser("analyze", help="search diagnostics")
     an_sub = an.add_subparsers(dest="analyze_command", required=True)
     hes = an_sub.add_parser("hessian", help="eigenvalue trace during search")
+    hes.set_defaults(func=_cmd_analyze_hessian)
     hes.add_argument("--config", required=True)
     hes.add_argument("--seed", type=int, default=0)
     hes.add_argument("--out", required=True)
     reg = an_sub.add_parser("regret", help="random-sample variance study")
+    reg.set_defaults(func=_cmd_analyze_regret)
     reg.add_argument("--config", required=True)
     reg.add_argument("--m-list", default="1,3")
     reg.add_argument("--samples", type=int, default=20)
     reg.add_argument("--groups", type=int, default=3)
     reg.add_argument("--out", required=True)
     ham = an_sub.add_parser("hamming", help="pairwise genotype distances")
+    ham.set_defaults(func=_cmd_analyze_hamming)
     ham.add_argument("--genotypes", nargs="*", default=[])
     ham.add_argument("--config", default=None)
     ham.add_argument("--sample", type=int, default=0,
@@ -90,6 +102,7 @@ def _build_parser():
     ham.add_argument("--out", required=True)
 
     rep = sub.add_parser("report", help="merge metrics CSVs into a comparison table")
+    rep.set_defaults(func=_cmd_report)
     rep.add_argument("--csv", nargs="+", required=True)
     rep.add_argument("--split", default="test")
     rep.add_argument("--severity", type=int, default=0)
@@ -110,15 +123,8 @@ def _load_config(path, seeds=None, out=None):
 
 
 def _cmd_dataset_gen(args):
-    bundle = datamod.gen_synthetic(
-        classes=args.classes,
-        n_train=args.train,
-        n_val=args.val,
-        n_test=args.test,
-        image_size=args.size,
-        noise_std=args.noise,
-        seed=args.seed,
-    )
+    spec = DataSpec(**{name: getattr(args, name) for name in _GEN_FLAGS.values()})
+    bundle = runner.load_bundle(spec.validate())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     datamod.save_bundle(bundle, out / "dataset.bin")
@@ -146,13 +152,13 @@ def _cmd_dataset_inspect(args):
     return 0
 
 
-def _cmd_run_method(args, expect_one_shot):
+def _cmd_run_method(args):
     cfg = _load_config(args.config, seeds=args.seed, out=args.out)
-    if expect_one_shot != (cfg.method in ONE_SHOT_METHODS):
-        kind = "search" if expect_one_shot else "baseline"
+    if (args.command == "search") != (cfg.method in ONE_SHOT_METHODS):
+        other = "baseline" if args.command == "search" else "search"
         raise UsageError(
-            f"method {cfg.method!r} is not a {kind} method "
-            f"(use the {'baseline' if expect_one_shot else 'search'} command)"
+            f"method {cfg.method!r} is not a {args.command} method "
+            f"(use the {other} command)"
         )
     out = runner.run(cfg)
     print(f"artifacts in {out}")
@@ -171,7 +177,7 @@ def _write_metrics(out, ensemble, bundle, cfg, seed, steps, wall_sec):
 
 
 def _cmd_train(args):
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, seeds=[args.seed])  # checks --seed too
     genotype = MultiHeadGenotype.load(args.genotype)
     bundle = runner.load_bundle(cfg.data)
     t0 = time.perf_counter()
@@ -205,7 +211,7 @@ def _cmd_eval(args):
 
 
 def _cmd_analyze_hessian(args):
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, seeds=[args.seed])
     if cfg.method not in ("pcdarts", "drnas"):
         raise UsageError("hessian tracing needs method pcdarts or drnas")
     bundle = runner.load_bundle(cfg.data)
@@ -221,9 +227,20 @@ def _cmd_analyze_hessian(args):
 
 
 def _cmd_analyze_regret(args):
+    try:
+        m_list = [int(m) for m in args.m_list.split(",") if m]
+    except ValueError:
+        m_list = []
+    if not m_list or min(m_list) < 1:
+        raise UsageError(
+            f"--m-list: expected ensemble sizes >= 1, got {args.m_list!r}"
+        )
+    if args.samples < 2:
+        raise UsageError(f"--samples: must be >= 2, got {args.samples}")
+    if args.groups < 1:
+        raise UsageError(f"--groups: must be >= 1, got {args.groups}")
     cfg = _load_config(args.config)
     bundle = runner.load_bundle(cfg.data)
-    m_list = [int(m) for m in args.m_list.split(",") if m]
     study = analysis.regret_study(
         bundle, cfg.model, m_list, args.samples, cfg.train,
         seed_groups=tuple(range(args.groups)),
@@ -242,11 +259,13 @@ def _cmd_analyze_regret(args):
 
 
 def _cmd_analyze_hamming(args):
+    if args.sample < 0:
+        raise UsageError(f"--sample: must be >= 0, got {args.sample}")
     genotypes = [MultiHeadGenotype.load(p) for p in args.genotypes]
     if args.sample:
         if not args.config:
             raise UsageError("--sample needs --config for the search space")
-        cfg = _load_config(args.config)
+        cfg = _load_config(args.config, seeds=[args.seed])
         rng = np.random.default_rng(args.seed)
         from .space import sample_random_genotype
 
@@ -311,27 +330,7 @@ def main(argv=None):
         # argparse exits with 2 on usage errors; the contract is 1
         return 0 if e.code in (0, None) else 1
     try:
-        if args.command == "dataset":
-            if args.dataset_command == "gen":
-                return _cmd_dataset_gen(args)
-            return _cmd_dataset_inspect(args)
-        if args.command == "search":
-            return _cmd_run_method(args, expect_one_shot=True)
-        if args.command == "baseline":
-            return _cmd_run_method(args, expect_one_shot=False)
-        if args.command == "train":
-            return _cmd_train(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "analyze":
-            if args.analyze_command == "hessian":
-                return _cmd_analyze_hessian(args)
-            if args.analyze_command == "regret":
-                return _cmd_analyze_regret(args)
-            return _cmd_analyze_hamming(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.func(args)
     except (UsageError, ConfigError, DataFormatError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -193,6 +193,11 @@ class ExperimentConfig:
                 isinstance(s, int) and s >= 0, "seeds", "must be non-negative integers"
             )
         _check(self.pool_size >= 1, "pool_size", "must be >= 1")
+        _check(
+            self.model.num_classes == self.data.classes,
+            "model.num_classes",
+            f"{self.model.num_classes} does not match data.classes {self.data.classes}",
+        )
         if self.model.head_width % self.search.partial_k:
             raise ConfigError(
                 "search.partial_k: head_width "

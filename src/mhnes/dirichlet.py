@@ -16,7 +16,11 @@ from .tensor import _record, as_tensor
 
 
 def _gamma_mt(shape_params, rng):
-    """Boosted Marsaglia-Tsang Gamma draws; returns sample and saved noise."""
+    """Accepted noise of boosted Marsaglia-Tsang Gamma draws.
+
+    Returns ``(d, c, x, v, boost)``; the Gamma sample is
+    ``d * v * boost ** (1 / a)``, which callers form in log space.
+    """
     a = shape_params
     d = a + 1.0 - 1.0 / 3.0
     c = 1.0 / (3.0 * np.sqrt(d))
@@ -43,8 +47,7 @@ def _gamma_mt(shape_params, rng):
         acc[okm] = True
         ok[m] = acc
     boost = 1.0 - rng.random(a.shape)  # in (0, 1]
-    g = d * v * boost ** (1.0 / a)
-    return g, (d, c, x, v, boost)
+    return d, c, x, v, boost
 
 
 def sample_simplex_rows(conc, rng):
@@ -59,7 +62,7 @@ def sample_simplex_rows(conc, rng):
     a = conc.data
     if np.any(a <= 0) or not np.all(np.isfinite(a)):
         raise ValueError("concentrations must be finite and strictly positive")
-    _, (d, c, x, v, boost) = _gamma_mt(a, rng)
+    d, c, x, v, boost = _gamma_mt(a, rng)
     log_g = np.log(d * v) + np.log(boost) / a
     z = log_g - log_g.max(axis=-1, keepdims=True)
     e = np.exp(z)

@@ -35,7 +35,7 @@ def cross_entropy(probs, labels, label_smoothing=0.0):
     hit = T.pick(logp, labels).mean()
     if label_smoothing == 0.0:
         return T.scale(hit, -1.0)
-    spread = T.scale(logp.mean(), 1.0)  # mean over N and C of log p
+    spread = logp.mean()  # mean over N and C of log p
     return T.add(
         T.scale(hit, -(1.0 - label_smoothing)), T.scale(spread, -label_smoothing)
     )

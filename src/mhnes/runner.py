@@ -32,8 +32,17 @@ SEARCHERS = {
 
 
 def load_bundle(data_spec):
+    """The dataset a validated ``DataSpec`` names: the stored bundle at its
+    ``path``, which must hold ``classes`` classes, or else a synthetic one
+    generated from its fields."""
     if data_spec.path:
-        return datamod.load_raw(data_spec.path)
+        bundle = datamod.load_raw(data_spec.path)
+        if bundle.classes != data_spec.classes:
+            raise ConfigError(
+                f"data.classes: {data_spec.path} provides {bundle.classes} "
+                f"classes, the config expects {data_spec.classes}"
+            )
+        return bundle
     return datamod.gen_synthetic(
         classes=data_spec.classes,
         n_train=data_spec.n_train,
@@ -202,20 +211,10 @@ def run(config: ExperimentConfig):
     A failing seed is recorded in its manifest and aborts only that seed.
     """
     config.validate()
-    if config.model.num_classes != config.data.classes:
-        raise ConfigError(
-            f"model.num_classes: {config.model.num_classes} does not match "
-            f"data.classes {config.data.classes}"
-        )
+    bundle = load_bundle(config.data)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(config.canonical_json())
-    bundle = load_bundle(config.data)
-    if bundle.classes != config.model.num_classes:
-        raise ConfigError(
-            f"model.num_classes: dataset provides {bundle.classes} classes, "
-            f"model expects {config.model.num_classes}"
-        )
 
     all_rows = []
     for seed in config.seeds:

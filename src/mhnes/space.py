@@ -5,11 +5,14 @@ A cell is a DAG over two input nodes (both fed by the previous block) and
 nodes through candidate operations. Discrete architectures keep exactly two
 (input, operation) pairs per intermediate node. One configuration is shared
 by all cells of a head, reduction and normal alike.
+
+``OP_BUILDERS`` names the candidate operations: the seven DARTS-style ops of
+``DEFAULT_OPS`` plus ``batch_mix_a``, a label-destroying op for search tasks
+with a planted best operation.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -272,60 +275,27 @@ class PoolOp(nn.Module):
     __call__ = forward
 
 
-def _noise_pattern(salt, shape):
-    digest = hashlib.sha256(f"{salt}:{shape}".encode()).digest()
-    seed = int.from_bytes(digest[:8], "little")
-    return np.random.default_rng(seed).standard_normal(shape)
-
-
-class StaticNoise(nn.Module):
-    """Emits a fixed pseudo-random pattern, ignoring its input.
-
-    Deterministic given the salt and feature-map shape; carries no class
-    information. Used to construct search tasks with a known best operation.
-    """
-
-    def __init__(self, salt, stride):
-        super().__init__()
-        self.salt = salt
-        self.stride = stride
-        self._cache = {}
-
-    def forward(self, x):
-        n, c, h, w = x.data.shape
-        oh = len(range(0, h, self.stride))
-        ow = len(range(0, w, self.stride))
-        key = (c, oh, ow)
-        if key not in self._cache:
-            self._cache[key] = _noise_pattern(self.salt, key)
-        pattern = np.broadcast_to(self._cache[key], (n, c, oh, ow)).copy()
-        return T._record(pattern, [x], lambda g: (None,), "static_noise")
-
-    __call__ = forward
-
-
 class BatchMix(nn.Module):
-    """Rolls the batch axis with a gain: every example receives an amplified
-    copy of another example's features, destroying label alignment on the
-    edge. Deterministic given the input bits; the roll offset scales with
-    the batch size.
+    """Rolls the batch axis by half the batch: every example receives another
+    example's features, so the edge destroys label alignment. Used to plant
+    a search task whose best operation is known (skip_connect). At stride 2
+    it subsamples spatially first, like skip_connect.
     """
 
-    GAIN = 1.0
-
-    def __init__(self, denom, stride):
+    def __init__(self, stride):
         super().__init__()
-        self.denom = denom
         self.stride = stride
 
     def forward(self, x):
         if self.stride == 2:
             x = T.subsample2(x)
         n = x.data.shape[0]
-        shift = max(1, n // self.denom) if n > 1 else 0
-        data = self.GAIN * np.roll(x.data, shift, axis=0)
+        shift = max(1, n // 2) if n > 1 else 0
         return T._record(
-            data, [x], lambda g: (self.GAIN * np.roll(g, -shift, axis=0),), "batch_mix"
+            np.roll(x.data, shift, axis=0),
+            [x],
+            lambda g: (np.roll(g, -shift, axis=0),),
+            "batch_mix",
         )
 
     __call__ = forward
@@ -341,10 +311,7 @@ OP_BUILDERS = {
     "dil_conv_5x5": lambda rng, c, stride, track: DilConv(rng, c, 5, stride, track),
     "max_pool_3x3": lambda rng, c, stride, track: PoolOp("max", stride),
     "avg_pool_3x3": lambda rng, c, stride, track: PoolOp("avg", stride),
-    "static_noise_a": lambda rng, c, stride, track: StaticNoise("a", stride),
-    "static_noise_b": lambda rng, c, stride, track: StaticNoise("b", stride),
-    "batch_mix_a": lambda rng, c, stride, track: BatchMix(2, stride),
-    "batch_mix_b": lambda rng, c, stride, track: BatchMix(3, stride),
+    "batch_mix_a": lambda rng, c, stride, track: BatchMix(stride),
 }
 
 

@@ -34,7 +34,7 @@ class Node:
     """One executed operation: inputs, output, and a vjp callback.
 
     ``fn(g)`` receives the gradient w.r.t. the output and returns one gradient
-    array (or None) per input, each freshly allocated.
+    array per input, each freshly allocated.
     """
 
     __slots__ = ("inputs", "fn", "out", "name")
@@ -182,7 +182,7 @@ def backward(loss):
             continue
         grads = node.fn(g)
         for t, gt in zip(node.inputs, grads):
-            if gt is None or not t.requires_grad:
+            if not t.requires_grad:
                 continue
             if gt.shape != t.data.shape:
                 raise ShapeError(

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from mhnes import cli, runner
-from mhnes.config import ExperimentConfig
+from mhnes.config import ConfigError, ExperimentConfig
+from mhnes.data import gen_synthetic, save_bundle
+from mhnes.space import ModelSpec, sample_random_genotype
 
 
 def tiny_config_dict(method="mhe_sample", out="runs/x", seeds=(0, 1)):
@@ -32,6 +34,15 @@ def tiny_config_dict(method="mhe_sample", out="runs/x", seeds=(0, 1)):
         "out_dir": out,
         "pool_size": 3,
     }
+
+
+def save_random_genotype(config_dict, path):
+    """Save a random genotype of the config's model at ``path``; return it."""
+    model = config_dict["model"]
+    spec = ModelSpec(**{**model, "ops": tuple(model["ops"])})
+    genotype = sample_random_genotype(spec, np.random.default_rng(0))
+    genotype.save(path)
+    return genotype
 
 
 def strip_wall(csv_text):
@@ -161,9 +172,19 @@ class TestRunArtifacts:
         d = tiny_config_dict(out=str(tmp_path / "m"))
         d["model"]["num_classes"] = 4
         d["data"]["classes"] = 3
+        with pytest.raises(ConfigError, match="num_classes"):
+            ExperimentConfig.from_dict(d)
+
+    def test_stored_dataset_with_other_class_count_rejected(self, tmp_path):
+        data = tmp_path / "d.bin"
+        save_bundle(gen_synthetic(classes=3, n_train=8, n_val=4, n_test=4), data)
+        d = tiny_config_dict(out=str(tmp_path / "m"))
+        d["model"]["num_classes"] = 4
+        d["data"] = {"classes": 4, "path": str(data)}
         cfg = ExperimentConfig.from_dict(d)
-        with pytest.raises(Exception, match="num_classes"):
+        with pytest.raises(ConfigError, match="provides 3 classes"):
             runner.run(cfg)
+        assert not (tmp_path / "m").exists()
 
     def test_one_shot_method_writes_loadable_genotype(self, tmp_path):
         from mhnes.space import MultiHeadGenotype
@@ -197,6 +218,97 @@ class TestCli:
         ins_out = capsys.readouterr().out
         for line in ("train: n=40", "val: n=20", "test: n=20"):
             assert line in gen_out and line in ins_out
+
+    @pytest.mark.parametrize("flags, kwargs", [
+        ([], {}),
+        (["--classes", "3", "--train", "9", "--val", "5", "--test", "6",
+          "--size", "8", "--noise", "0.3", "--seed", "4"],
+         dict(classes=3, n_train=9, n_val=5, n_test=6, image_size=8,
+              noise_std=0.3, seed=4)),
+    ])
+    def test_dataset_gen_writes_the_bundle_of_its_flags(
+        self, tmp_path, capsys, flags, kwargs
+    ):
+        out, want = tmp_path / "d", tmp_path / "want.bin"
+        assert cli.main(["dataset", "gen", *flags, "--out", str(out)]) == 0
+        save_bundle(gen_synthetic(**kwargs), want)
+        assert (out / "dataset.bin").read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("flags", [
+        ["--classes", "1"], ["--size", "4"], ["--noise", "-1"], ["--train", "-1"],
+        ["--val", "0"], ["--test", "0"],
+    ])
+    def test_dataset_gen_bad_flag_is_usage_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "d"
+        assert cli.main(["dataset", "gen", *flags, "--out", str(out)]) == 1
+        assert "must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_piecewise_commands_check_class_counts(self, tmp_path, capsys, command):
+        from mhnes.supernet import DiscreteNetwork
+
+        d = tiny_config_dict()
+        geno, weights = tmp_path / "g.json", tmp_path / "w.npz"
+        genotype = save_random_genotype(d, geno)
+        model = DiscreteNetwork(np.random.default_rng(0), genotype, 3)
+        np.savez(weights, **model.state_arrays())
+        d["model"]["num_classes"] = 4
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(d))
+        argv = [command, "--config", str(cfg), "--genotype", str(geno),
+                "--out", str(tmp_path / "o")]
+        if command == "eval":
+            argv += ["--weights", str(weights)]
+        assert cli.main(argv) == 1
+        assert "num_classes" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_train_rejects_stored_dataset_with_other_class_count(
+        self, tmp_path, capsys
+    ):
+        data = tmp_path / "d.bin"
+        save_bundle(gen_synthetic(classes=4, n_train=8, n_val=4, n_test=4), data)
+        d = tiny_config_dict()
+        d["data"] = {"classes": 3, "path": str(data)}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(d))
+        geno = tmp_path / "g.json"
+        save_random_genotype(d, geno)
+        assert cli.main(["train", "--config", str(cfg), "--genotype", str(geno),
+                         "--out", str(tmp_path / "o")]) == 1
+        assert "provides 4 classes" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--m-list", "x"], ["--m-list", ""], ["--m-list", "1,0"],
+        ["--samples", "1"], ["--groups", "0"],
+    ])
+    def test_analyze_regret_bad_flag_is_usage_error(self, tmp_path, capsys, flags):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(tiny_config_dict()))
+        out = tmp_path / "r"
+        argv = ["analyze", "regret", "--config", str(cfg), *flags, "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert flags[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--genotype", "g.json", "--seed", "-1"],
+        ["analyze", "hessian", "--seed", "-1"],
+        ["analyze", "hamming", "--sample", "2", "--seed", "-1"],
+        ["analyze", "hamming", "--sample", "-1", "--genotypes", "g.json", "g.json"],
+    ])
+    def test_negative_seed_or_sample_is_usage_error(self, tmp_path, capsys, argv):
+        d = tiny_config_dict(method="drnas")
+        (tmp_path / "c.json").write_text(json.dumps(d))
+        save_random_genotype(d, tmp_path / "g.json")
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        out = tmp_path / "o"
+        assert cli.main([*argv, "--config", str(tmp_path / "c.json"),
+                         "--out", str(out)]) == 1
+        assert "must be" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_is_usage_error(self, capsys):
         assert cli.main(["search", "--config", "missing.cfg"]) == 1
@@ -248,14 +360,11 @@ class TestCli:
         assert float(nes["error_mean"]) == pytest.approx(0.2)
 
     def test_train_and_eval_csvs_feed_report(self, tmp_path, capsys):
-        from mhnes.space import ModelSpec, sample_random_genotype
-
         d = tiny_config_dict()
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(d))
-        spec = ModelSpec(**{**d["model"], "ops": tuple(d["model"]["ops"])})
         geno = tmp_path / "g.json"
-        sample_random_genotype(spec, np.random.default_rng(0)).save(geno)
+        save_random_genotype(d, geno)
         tr, ev = tmp_path / "t", tmp_path / "e"
         assert cli.main(["train", "--config", str(cfg), "--genotype", str(geno),
                          "--seed", "3", "--out", str(tr)]) == 0

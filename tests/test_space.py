@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mhnes import tensor as T
 from mhnes.space import (
     DEFAULT_OPS,
     ModelSpec,
@@ -18,7 +19,7 @@ from mhnes.space import (
     hamming,
     sample_random_genotype,
 )
-from mhnes.tensor import Tensor
+from mhnes.tensor import Tape, Tensor, backward
 
 SPEC = ModelSpec(num_heads=2, cells_per_head=2, head_width=8, backbone_width=8)
 
@@ -168,16 +169,24 @@ class TestCandidateOps:
         y = build_op("skip_connect", None, 4, 1)(x)
         np.testing.assert_array_equal(y.data, x.data)
 
-    def test_static_noise_ignores_input_and_is_deterministic(self):
-        rng = np.random.default_rng(0)
-        op = build_op("static_noise_a", rng, 4, 1)
-        a = op(Tensor(np.zeros((2, 4, 5, 5))))
-        b = op(Tensor(np.ones((2, 4, 5, 5))))
-        np.testing.assert_array_equal(a.data, b.data)
-        op2 = build_op("static_noise_a", rng, 4, 1)
-        np.testing.assert_array_equal(op2(Tensor(np.zeros((1, 4, 5, 5)))).data[0], a.data[0])
-        opb = build_op("static_noise_b", rng, 4, 1)
-        assert not np.array_equal(opb(Tensor(np.zeros((1, 4, 5, 5)))).data, a.data[:1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_batch_mix_rolls_half_the_batch(self, stride):
+        rng = np.random.default_rng(2)
+        x = Tensor(rng.normal(size=(5, 3, 6, 6)), requires_grad=True)
+        w = rng.normal(size=(5, 3, 6 // stride, 6 // stride))
+        with Tape():
+            y = build_op("batch_mix_a", None, 3, stride)(x)
+            backward(T.mul(y, Tensor(w)).sum())
+        kept = np.s_[:, :, ::stride, ::stride]
+        np.testing.assert_array_equal(y.data, np.roll(x.data[kept], 2, axis=0))
+        want = np.zeros_like(x.data)
+        want[kept] = np.roll(w, -2, axis=0)
+        np.testing.assert_array_equal(x.grad, want)
+
+    def test_batch_mix_passes_a_single_example_through(self):
+        x = Tensor(np.random.default_rng(3).normal(size=(1, 2, 4, 4)))
+        y = build_op("batch_mix_a", None, 2, 1)(x)
+        np.testing.assert_array_equal(y.data, x.data)
 
     def test_unknown_op_name(self):
         with pytest.raises(ValueError, match="unknown operation"):
