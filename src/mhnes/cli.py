@@ -285,9 +285,12 @@ def _cmd_analyze_hamming(args):
 
 def _cmd_report(args):
     rows = []
+    header = runner.CSV_HEADER.split(",")
     for path in args.csv:
         text = Path(path).read_text().strip().splitlines()
-        header = text[0].split(",")
+        if not text or text[0] != runner.CSV_HEADER:
+            raise UsageError(f"{path}: not a metrics CSV (empty, or its header is "
+                             f"not {runner.CSV_HEADER!r})")
         for line in text[1:]:
             rows.append(dict(zip(header, line.split(","))))
     picked = [

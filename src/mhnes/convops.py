@@ -1,32 +1,46 @@
 """Spatial operations: convolution, pooling, and batch normalization.
 
-All operate on [N,C,H,W] float64 tensors. Convolution and pooling extract
-windows by explicit strided slices, one per kernel offset, which keeps both
-directions vectorized without np.add.at.
+All take and return [N,C,H,W] float64 tensors. Convolution and pooling
+extract windows by explicit strided slices, one per kernel offset, which
+keeps both directions vectorized without np.add.at.
 
-Convolution works channel-major. Along each spatial axis ``_offsets`` keeps
+Both ops share one kernel plan and one window gather. The plan, memoised
+per shape signature, holds the output extent and, along each spatial axis,
 the kernel offsets whose window overlaps the unpadded input, which is
-always a contiguous range. Any other offset reads only padding, so its
-terms are exact zeros and its weight gradient is 0. The kept offsets are
-gathered into columns [C, K', N, OH, OW], so the einsums run their inner
-loop over q = N*OH*OW rather than over one image's pixels. A conv with one
-kept offset, stride 1 and an output the size of its input (every 1x1 conv,
-and a 'same' conv whose other offsets all fall in padding) takes the
-transposed input as its columns, with no window copy.
+always a contiguous range (``_offsets``). Any other offset reads only
+padding: in a conv its terms are exact zeros and its weight gradient is 0,
+and in a max pool it reads -inf, which never wins. The input is padded into
+batch-last [C, H, W, N] (one transpose in), and the kept offsets are
+gathered into columns [C, K', OH, OW, N], so every window copy moves runs
+of N images rather than a row of OH or OW pixels. The result and the input
+gradient are transposed back to [N,C,H,W] once each. A conv with one kept
+offset, stride 1 and an output the size of its input (every 1x1 conv, and a
+'same' conv whose other offsets all fall in padding) takes the [C, N, H, W]
+input as its columns, with no window copy.
 
 Summation order: the output and the input gradient accumulate over (input
-channel, kernel row, kernel column) in that order, and the weight gradient
-sums each image's output pixels, then adds the images one by one. That is
-the order of a plain im2col-plus-einsum conv over [N, C*kh*kw, OH*OW]
-columns, and dropping exact-zero terms changes no sum, so every result is
-bit-identical to that reference whenever the output has more than one
-pixel. With a one-pixel output the reference reduced each sum as one
-contiguous vectorized dot, so results there may differ in the last bit.
+channel, kernel row, kernel column) in that order, whatever the column
+layout, and the weight gradient sums each image's output pixels, then adds
+the images one by one. That is the order of a plain im2col-plus-einsum conv
+over [N, C*kh*kw, OH*OW] columns, and dropping exact-zero terms changes no
+sum, so every result is bit-identical to that reference whenever the output
+has more than one pixel. With a one-pixel output the reference reduced each
+sum as one contiguous vectorized dot, and so it did for the weight gradient
+of a 1x1 conv from one channel to one, over all images at once; results
+there may differ in the last bit.
 
-Pooling keeps the [N,C,K,OH,OW] layout and visits every window offset.
+The per-image sums of the weight gradient are such contiguous dots over
+one image's pixels. Read along the pixels of batch-last columns, einsum
+would add the same terms in another order, so the backward takes them from
+a contiguous [C, K', N, OH*OW] copy of the columns. Only the backward makes
+that copy, so forward-only calls never pay for it. It makes it after the
+column gradient has been scattered into the input gradient and freed, so
+that at most one column-sized temporary is alive at a time.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,50 +66,63 @@ def _offsets(k, extent, out, stride, padding, dilation):
     return range(lo, max(lo, hi + 1))
 
 
-def _window_slices(ki, kj, oh, ow, stride, dilation):
-    """(row slice, column slice) of the padded input for each kernel offset
-    in ``ki`` x ``kj``, row-major."""
-    return [
+@lru_cache(maxsize=1024)
+def _plan(h, w, kh, kw, stride, padding, dilation):
+    """(oh, ow, ki, kj, slices) for an h x w input and a kh x kw kernel.
+
+    ``ki`` and ``kj`` are the kept kernel offsets along each axis and
+    ``slices`` the (row slice, column slice) of the padded input for each
+    kept offset, row-major. With a non-positive output extent only ``oh``
+    and ``ow`` are set.
+    """
+    oh = conv_out_extent(h, kh, stride, padding, dilation)
+    ow = conv_out_extent(w, kw, stride, padding, dilation)
+    if oh <= 0 or ow <= 0:
+        return oh, ow, None, None, None
+    ki = _offsets(kh, h, oh, stride, padding, dilation)
+    kj = _offsets(kw, w, ow, stride, padding, dilation)
+    slices = tuple(
         (
             slice(i * dilation, i * dilation + (oh - 1) * stride + 1, stride),
             slice(j * dilation, j * dilation + (ow - 1) * stride + 1, stride),
         )
         for i in ki
         for j in kj
-    ]
+    )
+    return oh, ow, ki, kj, slices
 
 
 def _pad(x, padding, fill=0.0):
-    """Spatially pad a 4-D array by ``padding`` on each side."""
+    """[N,C,H,W] as a contiguous batch-last [C, H+2p, W+2p, N], the border
+    filled with ``fill``."""
+    n, c, h, w = x.shape
     if not padding:
-        return x
-    a, b, h, w = x.shape
-    xp = np.full((a, b, h + 2 * padding, w + 2 * padding), fill)
-    xp[:, :, padding : padding + h, padding : padding + w] = x
+        return np.ascontiguousarray(x.transpose(1, 2, 3, 0))
+    xp = np.full((c, h + 2 * padding, w + 2 * padding, n), fill)
+    xp[:, padding : padding + h, padding : padding + w] = x.transpose(1, 2, 3, 0)
     return xp
 
 
-def _im2col(xp, slices, oh, ow, axis):
-    """Windows of the padded 4-D ``xp``, one per slice pair, stacked along
-    ``axis`` of a new contiguous array."""
-    shape = [*xp.shape[:2], oh, ow]
-    shape.insert(axis, len(slices))
-    cols = np.empty(shape)
-    lead = (slice(None),) * axis
+def _im2col(xp, slices, oh, ow):
+    """Windows of the batch-last ``xp``, one per slice pair, as columns
+    [C, K', OH, OW, N]."""
+    c, _, _, n = xp.shape
+    cols = np.empty((c, len(slices), oh, ow, n))
     for i, (si, sj) in enumerate(slices):
-        cols[lead + (i,)] = xp[:, :, si, sj]
+        cols[:, i] = xp[:, si, sj]
     return cols
 
 
-def _col2im(dcols, axis, x_shape, padding, slices):
-    """Gradient of the unpadded 4-D input from column gradients whose kernel
-    offsets run along ``axis``."""
-    a, b, h, w = x_shape
-    dxp = np.zeros((a, b, h + 2 * padding, w + 2 * padding))
-    lead = (slice(None),) * axis
+def _col2im(dcols, x_shape, padding, slices):
+    """Gradient of the [N,C,H,W] input from column gradients
+    [C, K', OH, OW, N]."""
+    n, c, h, w = x_shape
+    dxp = np.zeros((c, h + 2 * padding, w + 2 * padding, n))
     for i, (si, sj) in enumerate(slices):
-        dxp[:, :, si, sj] += dcols[lead + (i,)]
-    return dxp[:, :, padding : padding + h, padding : padding + w]
+        dxp[:, si, sj] += dcols[:, i]
+    return np.ascontiguousarray(
+        dxp[:, padding : padding + h, padding : padding + w].transpose(3, 0, 1, 2)
+    )
 
 
 def conv2d(x, w, stride=1, padding=0, dilation=1, groups=1):
@@ -116,52 +143,57 @@ def conv2d(x, w, stride=1, padding=0, dilation=1, groups=1):
             f"conv2d: {c} in / {co} out channels not divisible into {groups} groups"
             f" with per-group input {cg}"
         )
-    oh = conv_out_extent(h, kh, stride, padding, dilation)
-    ow = conv_out_extent(wd, kw, stride, padding, dilation)
+    oh, ow, ki, kj, slices = _plan(h, wd, kh, kw, stride, padding, dilation)
     if oh <= 0 or ow <= 0:
         raise ShapeError(
             f"conv2d: non-positive output extent {oh}x{ow} for input {h}x{wd}, "
             f"kernel {kh}x{kw}, stride {stride}, padding {padding}, dilation {dilation}"
         )
-    ki = _offsets(kh, h, oh, stride, padding, dilation)
-    kj = _offsets(kw, wd, ow, stride, padding, dilation)
     kept = np.s_[:, :, ki.start : ki.stop, kj.start : kj.stop]
-    xt = x.data.transpose(1, 0, 2, 3)
-    if len(ki) == len(kj) == 1 and stride == 1 and (oh, ow) == (h, wd):
-        slices = None
-        cols = np.ascontiguousarray(xt)
+    nk, p = len(slices), oh * ow
+    # ``to_q`` takes [N,C,H,W] to the column order of the pixels, q, and
+    # ``to_nchw`` takes [C, *q] back
+    if nk == 1 and stride == 1 and (oh, ow) == (h, wd):
+        direct, to_q, to_nchw = True, (1, 0, 2, 3), (1, 0, 2, 3)
+        cols = np.ascontiguousarray(x.data.transpose(to_q))
     else:
-        slices = _window_slices(ki, kj, oh, ow, stride, dilation)
-        cols = _im2col(_pad(xt, padding), slices, oh, ow, axis=1)
+        direct, to_q, to_nchw = False, (1, 2, 3, 0), (3, 0, 1, 2)
+        cols = _im2col(_pad(x.data, padding), slices, oh, ow)
     # group the channel axis: columns [G, cg*K', q], weights [G, cog, cg*K']
-    cog, kk, p = co // groups, cg * len(ki) * len(kj), oh * ow
+    cog, kk = co // groups, cg * nk
     colsg = cols.reshape(groups, kk, n * p)
     wg = w.data[kept].reshape(groups, cog, kk)
-    out = np.einsum("gok,gkq->goq", wg, colsg).reshape(co, n, oh, ow)
+    out = np.einsum("gok,gkq->goq", wg, colsg)
+    out = out.reshape((co,) + cols.shape[-3:]).transpose(to_nchw)
 
     def fn(g):
-        gg = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(groups, cog, n * p)
-        # per-image partial sums, then the images added in order
+        gq = np.ascontiguousarray(g.transpose(to_q)).reshape(groups, cog, n * p)
+        dcols = np.einsum("gok,goq->gkq", wg, gq).reshape(cols.shape)
+        if direct:
+            dx = np.ascontiguousarray(dcols.transpose(to_nchw))
+        else:
+            dx = _col2im(dcols, x.data.shape, padding, slices)
+        del dcols
+        # per-image partial sums over [.., N, P] operands, then the images
+        # added in order
+        gn, colsn = gq, cols
+        if not direct:
+            gn = np.ascontiguousarray(g.transpose(1, 0, 2, 3))
+            colsn = np.ascontiguousarray(
+                cols.reshape(c, nk, p, n).transpose(0, 1, 3, 2)
+            )
         part = np.einsum(
             "gonp,gknp->gokn",
-            gg.reshape(groups, cog, n, p),
-            colsg.reshape(groups, kk, n, p),
+            gn.reshape(groups, cog, n, p),
+            colsn.reshape(groups, kk, n, p),
         )
         dw = np.zeros(w.data.shape)
         dw[kept] = np.cumsum(part, axis=-1)[..., -1].reshape(
             co, cg, len(ki), len(kj)
         )
-        dcols = np.einsum("gok,goq->gkq", wg, gg)
-        if slices is None:
-            dxt = dcols.reshape(c, n, h, wd)
-        else:
-            dcols = dcols.reshape(c, len(slices), n, oh, ow)
-            dxt = _col2im(dcols, 1, xt.shape, padding, slices)
-        return np.ascontiguousarray(dxt.transpose(1, 0, 2, 3)), dw
+        return dx, dw
 
-    return _record(
-        np.ascontiguousarray(out.transpose(1, 0, 2, 3)), [x, w], fn, "conv2d"
-    )
+    return _record(np.ascontiguousarray(out), [x, w], fn, "conv2d")
 
 
 def pool2d(kind, x, window=3, stride=1, padding=1):
@@ -169,7 +201,11 @@ def pool2d(kind, x, window=3, stride=1, padding=1):
 
     Average pooling divides by the full window area (padding included); max
     pooling ignores padded positions and routes the gradient to the first
-    maximal index in row-major window order.
+    maximal index in row-major window order. Both match a pool over every
+    window offset in [N, C, K, OH, OW] bit for bit whenever the output has
+    more than one pixel; with one pixel that pool summed each window as one
+    contiguous vectorized sum, so an average there may differ in the last
+    bit.
     """
     if kind not in ("max", "avg"):
         raise ValueError(f"pool2d: unknown kind {kind!r}")
@@ -179,38 +215,36 @@ def pool2d(kind, x, window=3, stride=1, padding=1):
     if padding > window // 2:
         raise ShapeError(f"pool2d: padding {padding} > window//2 ({window // 2})")
     n, c, h, wd = x.data.shape
-    oh = conv_out_extent(h, window, stride, padding, 1)
-    ow = conv_out_extent(wd, window, stride, padding, 1)
+    oh, ow, _, _, slices = _plan(h, wd, window, window, stride, padding, 1)
     if oh <= 0 or ow <= 0:
         raise ShapeError(
             f"pool2d: non-positive output extent {oh}x{ow} for input {h}x{wd}, "
             f"window {window}, stride {stride}, padding {padding}"
         )
     fill = -np.inf if kind == "max" else 0.0
-    slices = _window_slices(range(window), range(window), oh, ow, stride, 1)
-    flat = _im2col(_pad(x.data, padding, fill), slices, oh, ow, axis=2)
+    cols = _im2col(_pad(x.data, padding, fill), slices, oh, ow)
 
     if kind == "avg":
         area = float(window * window)
-        out = flat.sum(axis=2) / area
+        out = cols.sum(axis=1) / area
 
-        def dflat(g):
-            return np.broadcast_to(g[:, :, None] / area, flat.shape)
+        def dcols(g):
+            return np.broadcast_to(g[:, None] / area, cols.shape)
 
     else:
-        arg = flat.argmax(axis=2)  # first index on ties
-        out = np.take_along_axis(flat, arg[:, :, None], axis=2)[:, :, 0]
+        arg = cols.argmax(axis=1)[:, None]  # first index on ties
+        out = np.take_along_axis(cols, arg, axis=1)[:, 0]
 
-        def dflat(g):
-            d = np.zeros_like(flat)
-            np.put_along_axis(d, arg[:, :, None], g[:, :, None], axis=2)
+        def dcols(g):
+            d = np.zeros_like(cols)
+            np.put_along_axis(d, arg, g[:, None], axis=1)
             return d
 
     def fn(g):
-        dx = _col2im(dflat(g), 2, x.data.shape, padding, slices)
-        return (np.ascontiguousarray(dx),)
+        dx = _col2im(dcols(g.transpose(1, 2, 3, 0)), x.data.shape, padding, slices)
+        return (dx,)
 
-    return _record(out, [x], fn, "pool2d")
+    return _record(np.ascontiguousarray(out.transpose(3, 0, 1, 2)), [x], fn, "pool2d")
 
 
 def normalize_no_affine(x, eps=1e-5):

@@ -80,3 +80,44 @@ def im2col_conv2d(x, w, g, stride=1, padding=0, dilation=1, groups=1):
         dxp[:, :, si, sj] += dcols[:, :, ki, kj]
     dx = dxp[:, :, padding : padding + h, padding : padding + wd].copy()
     return out, dx, dw
+
+
+def nchw_pool2d(kind, x, g, window=3, stride=1, padding=1):
+    """Reference pool: every window offset gathered into [N, C, K, OH, OW].
+
+    Returns (out, dx) for input ``x`` and output gradient ``g``. Max pooling
+    reads padding as -inf and routes each gradient to the first maximal
+    offset in row-major window order; average pooling divides by the full
+    window area. ``mhnes.convops.pool2d`` must match it bit for bit whenever
+    the output has more than one pixel.
+    """
+    n, c, h, wd = x.shape
+    oh = (h + 2 * padding - window) // stride + 1
+    ow = (wd + 2 * padding - window) // stride + 1
+    fill = -np.inf if kind == "max" else 0.0
+    xp = np.full((n, c, h + 2 * padding, wd + 2 * padding), fill)
+    xp[:, :, padding : padding + h, padding : padding + wd] = x
+    slices = [
+        (
+            slice(ki, ki + (oh - 1) * stride + 1, stride),
+            slice(kj, kj + (ow - 1) * stride + 1, stride),
+        )
+        for ki in range(window)
+        for kj in range(window)
+    ]
+    cols = np.empty((n, c, len(slices), oh, ow))
+    for i, (si, sj) in enumerate(slices):
+        cols[:, :, i] = xp[:, :, si, sj]
+    if kind == "avg":
+        area = float(window * window)
+        out = cols.sum(axis=2) / area
+        dcols = np.broadcast_to(g[:, :, None] / area, cols.shape)
+    else:
+        arg = cols.argmax(axis=2)[:, :, None]
+        out = np.take_along_axis(cols, arg, axis=2)[:, :, 0]
+        dcols = np.zeros_like(cols)
+        np.put_along_axis(dcols, arg, g[:, :, None], axis=2)
+    dxp = np.zeros(xp.shape)
+    for i, (si, sj) in enumerate(slices):
+        dxp[:, :, si, sj] += dcols[:, :, i]
+    return out, dxp[:, :, padding : padding + h, padding : padding + wd].copy()

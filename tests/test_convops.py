@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from support import im2col_conv2d
+from support import im2col_conv2d, nchw_pool2d
 
 from mhnes import convops, tensor as T
 from mhnes.convops import conv2d, conv_out_extent, normalize_no_affine, pool2d
@@ -151,16 +151,11 @@ WORKLOAD_CONVS = {
 
 
 class TestConv2dBitExact:
-    @pytest.mark.parametrize(
-        "n,c,h,co,groups,k,stride,padding,dilation",
-        WORKLOAD_CONVS.values(),
-        ids=WORKLOAD_CONVS.keys(),
-    )
-    def test_matches_full_im2col(self, n, c, h, co, groups, k, stride, padding,
-                                 dilation):
-        rng = np.random.default_rng(11)
-        x = Tensor(rng.normal(size=(n, c, h, h)), requires_grad=True)
-        w = Tensor(rng.normal(size=(co, c // groups, k, k)), requires_grad=True)
+    @staticmethod
+    def check(shape, co, groups, k, stride, padding, dilation, rng):
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        w = Tensor(rng.normal(size=(co, shape[1] // groups, k, k)),
+                   requires_grad=True)
         with T.Tape():
             out = conv2d(x, w, stride, padding, dilation, groups)
             g = rng.normal(size=out.shape)
@@ -168,6 +163,16 @@ class TestConv2dBitExact:
         want = im2col_conv2d(x.data, w.data, g, stride, padding, dilation, groups)
         for got, ref in zip((out.data, x.grad, w.grad), want):
             np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize(
+        "n,c,h,co,groups,k,stride,padding,dilation",
+        WORKLOAD_CONVS.values(),
+        ids=WORKLOAD_CONVS.keys(),
+    )
+    def test_matches_full_im2col(self, n, c, h, co, groups, k, stride, padding,
+                                 dilation):
+        self.check((n, c, h, h), co, groups, k, stride, padding, dilation,
+                   np.random.default_rng(11))
 
     def test_output_reading_only_padding_is_zero(self):
         x = Tensor(np.ones((2, 3, 1, 1)), requires_grad=True)
@@ -178,6 +183,31 @@ class TestConv2dBitExact:
         assert out.shape == (2, 3, 1, 1)
         for a in (out.data, x.grad, w.grad):
             np.testing.assert_array_equal(a, 0.0)
+
+    @given(
+        n=st.sampled_from([1, 3, 8]),
+        c=st.integers(1, 4),
+        depthwise=st.booleans(),
+        mult=st.integers(1, 2),
+        h=st.integers(1, 7),
+        wd=st.integers(1, 7),
+        k=st.sampled_from([1, 3, 5]),
+        s=st.integers(1, 2),
+        p=st.integers(0, 4),
+        d=st.integers(1, 2),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_sweep_matches_full_im2col(self, n, c, depthwise, mult, h, wd, k, s,
+                                       p, d, seed):
+        oh = conv_out_extent(h, k, s, p, d)
+        ow = conv_out_extent(wd, k, s, p, d)
+        assume(oh > 0 and ow > 0 and oh * ow > 1)
+        # a 1x1 conv from one channel to one: the reference sums the weight
+        # gradient over all images as one dot (see the convops docstring)
+        assume((c, c * mult, k) != (1, 1, 1))
+        self.check((n, c, h, wd), c * mult, c if depthwise else 1, k, s, p, d,
+                   np.random.default_rng(seed))
 
     @given(
         k=st.sampled_from([1, 3, 5, 7]),
@@ -247,6 +277,71 @@ class TestPool2d:
     def test_nonpositive_output_rejected(self):
         with pytest.raises(ShapeError):
             pool2d("max", Tensor(np.zeros((1, 1, 2, 2))), window=3, stride=4, padding=0)
+
+
+# (n, c, h, stride) of the 3x3, padding-1 pools the search and pool
+# workloads run
+WORKLOAD_POOLS = {
+    "partial4-2x2": (16, 4, 2, 1),
+    "partial8-2x2": (16, 8, 2, 1),
+    "full-2x2": (32, 16, 2, 1),
+    "full-2x2-batch64": (64, 16, 2, 1),
+    "partial4-stride2": (16, 4, 4, 2),
+    "full-stride2": (32, 16, 4, 2),
+}
+
+
+class TestPool2dBitExact:
+    @staticmethod
+    def check(kind, x, window, stride, padding, rng):
+        oh = conv_out_extent(x.shape[2], window, stride, padding, 1)
+        ow = conv_out_extent(x.shape[3], window, stride, padding, 1)
+        g = rng.normal(size=(*x.shape[:2], oh, ow))
+        xt = Tensor(x, requires_grad=True)
+        with T.Tape():
+            out = pool2d(kind, xt, window, stride, padding)
+            T.backward((out * Tensor(g)).sum())
+        want = nchw_pool2d(kind, x, g, window, stride, padding)
+        for got, ref in zip((out.data, xt.grad), want):
+            np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
+    @pytest.mark.parametrize("kind", ["max", "avg"])
+    @pytest.mark.parametrize(
+        "n,c,h,stride", WORKLOAD_POOLS.values(), ids=WORKLOAD_POOLS.keys()
+    )
+    def test_workload_shapes_match_nchw_pool(self, kind, n, c, h, stride, tied):
+        rng = np.random.default_rng(17)
+        if tied:  # few distinct values: max routes to the first maximal offset
+            x = rng.integers(-1, 2, size=(n, c, h, h)).astype(float)
+        else:
+            x = rng.normal(size=(n, c, h, h))
+        self.check(kind, x, 3, stride, 1, rng)
+
+    @given(
+        kind=st.sampled_from(["max", "avg"]),
+        n=st.sampled_from([1, 3, 8]),
+        h=st.integers(1, 7),
+        wd=st.integers(1, 7),
+        window=st.sampled_from([1, 3, 5]),
+        s=st.integers(1, 3),
+        p=st.integers(0, 2),
+        tied=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_sweep_matches_nchw_pool(self, kind, n, h, wd, window, s, p, tied,
+                                     seed):
+        p %= window // 2 + 1
+        oh = conv_out_extent(h, window, s, p, 1)
+        ow = conv_out_extent(wd, window, s, p, 1)
+        assume(oh > 0 and ow > 0 and oh * ow > 1)
+        rng = np.random.default_rng(seed)
+        if tied:
+            x = rng.integers(-1, 2, size=(n, 2, h, wd)).astype(float)
+        else:
+            x = rng.normal(size=(n, 2, h, wd))
+        self.check(kind, x, window, s, p, rng)
 
 
 class TestNormalize:

@@ -359,6 +359,22 @@ class TestCli:
         nes = dict(zip(out[0].split(","), out[2].split(",")))
         assert float(nes["error_mean"]) == pytest.approx(0.2)
 
+    @pytest.mark.parametrize("text", ["a,b\n1,2\n", ""], ids=["other-header", "empty"])
+    def test_report_rejects_non_metrics_csv(self, tmp_path, capsys, text):
+        good = tmp_path / "good.csv"
+        good.write_text(
+            runner.CSV_HEADER + "\n"
+            "drnas,0,3,test,0,0.500000,0.100000,0.020000,0.400000,100,10,1.0\n"
+        )
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        out = tmp_path / "table.csv"
+        code = cli.main(["report", "--csv", str(good), str(bad), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err
+        assert not out.exists()
+
     def test_train_and_eval_csvs_feed_report(self, tmp_path, capsys):
         d = tiny_config_dict()
         cfg = tmp_path / "c.json"
