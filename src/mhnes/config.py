@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import typing
 from dataclasses import dataclass, field
 
 from .space import OP_BUILDERS, ModelSpec
@@ -32,19 +33,36 @@ class ConfigError(ValueError):
     pass
 
 
-def _take(d, cls, path):
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path}: expected an object")
-    known = {f.name for f in dataclasses.fields(cls)}
-    for key in d:
-        if key not in known:
-            raise ConfigError(f"{path}.{key}: unknown field")
-    return d
-
-
 def _check(cond, path, msg):
     if not cond:
         raise ConfigError(f"{path}: {msg}")
+
+
+def _parse(value, cls, path):
+    """Build ``cls`` from its JSON ``value``: a config dataclass from an
+    object, ``tuple[T, ...]`` from a list of ``T``, a scalar as itself.
+
+    Unknown keys and wrong-typed values raise ``ConfigError`` naming their
+    path. A bool is never a number, and an int is kept, unconverted, where
+    a float is expected, so a config's hash does not change with parsing.
+    """
+    if dataclasses.is_dataclass(cls):
+        _check(isinstance(value, dict), path, f"expected an object, got {value!r}")
+        types = typing.get_type_hints(cls)
+        for key in value:
+            _check(key in types, f"{path}.{key}", "unknown field")
+        return cls(**{k: _parse(v, types[k], f"{path}.{k}")
+                      for k, v in value.items()})
+    if typing.get_origin(cls) is tuple:
+        _check(isinstance(value, list), path, f"expected a list, got {value!r}")
+        item = typing.get_args(cls)[0]
+        return tuple(_parse(v, item, f"{path}[{i}]") for i, v in enumerate(value))
+    allowed = typing.get_args(cls) or (cls,)  # `str | None` -> (str, NoneType)
+    if float in allowed:
+        allowed += (int,)
+    name = getattr(cls, "__name__", cls)
+    _check(type(value) in allowed, path, f"expected {name}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -58,35 +76,24 @@ class DataSpec:
     seed: int = 0
     path: str | None = None  # load a stored bundle instead of generating
 
-    def validate(self, path="data"):
-        _check(self.classes >= 2, f"{path}.classes", "must be >= 2")
-        _check(self.image_size >= 8, f"{path}.image_size", "must be >= 8")
+    def validate(self):
+        _check(self.classes >= 2, "data.classes", "must be >= 2")
+        _check(self.image_size >= 8, "data.image_size", "must be >= 8")
         for name in ("n_train", "n_val", "n_test"):
-            _check(getattr(self, name) >= 1, f"{path}.{name}", "must be >= 1")
-        _check(self.noise_std >= 0, f"{path}.noise_std", "must be >= 0")
+            _check(getattr(self, name) >= 1, f"data.{name}", "must be >= 1")
+        _check(self.noise_std >= 0, "data.noise_std", "must be >= 0")
         return self
 
-    @classmethod
-    def from_dict(cls, d, path="data"):
-        return cls(**_take(d, cls, path)).validate(path)
 
-
-def model_spec_from_dict(d, path="model"):
-    d = dict(_take(d, ModelSpec, path))
-    if "ops" in d:
-        d["ops"] = tuple(d["ops"])
-    spec = ModelSpec(**d)
-    _check(spec.num_classes >= 2, f"{path}.num_classes", "must be >= 2")
-    _check(spec.num_heads >= 1, f"{path}.num_heads", "must be >= 1")
-    _check(spec.cells_per_head >= 1, f"{path}.cells_per_head", "must be >= 1")
-    _check(spec.nodes >= 1, f"{path}.nodes", "must be >= 1")
-    _check(len(spec.ops) >= 1, f"{path}.ops", "must name at least one operation")
+def _validate_model(spec: ModelSpec):
+    _check(spec.num_classes >= 2, "model.num_classes", "must be >= 2")
+    _check(len(spec.ops) >= 1, "model.ops", "must name at least one operation")
     for op in spec.ops:
-        _check(op in OP_BUILDERS, f"{path}.ops", f"unknown operation {op!r}")
-    _check(len(set(spec.ops)) == len(spec.ops), f"{path}.ops", "duplicate operation")
-    for name in ("backbone_layers", "backbone_width", "head_width"):
-        _check(getattr(spec, name) >= 1, f"{path}.{name}", "must be >= 1")
-    return spec
+        _check(op in OP_BUILDERS, "model.ops", f"unknown operation {op!r}")
+    _check(len(set(spec.ops)) == len(spec.ops), "model.ops", "duplicate operation")
+    for name in ("num_heads", "cells_per_head", "nodes", "backbone_layers",
+                 "backbone_width", "head_width"):
+        _check(getattr(spec, name) >= 1, f"model.{name}", "must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -111,34 +118,30 @@ class SearchHyperparams:
     eval_examples: int = 0  # validation examples per candidate eval (0 = all)
     val_fraction: float = 0.5
 
-    def validate(self, path="search"):
-        _check(self.eval_examples >= 0, f"{path}.eval_examples", "must be >= 0")
+    def validate(self):
+        _check(self.eval_examples >= 0, "search.eval_examples", "must be >= 0")
         for name in ("epochs", "batch", "partial_k", "drnas_stage_epochs",
                      "drnas_keep_ops", "drnas_stage2_k", "eval_samples"):
-            _check(getattr(self, name) >= 1, f"{path}.{name}", "must be >= 1")
+            _check(getattr(self, name) >= 1, f"search.{name}", "must be >= 1")
         for name in ("weight_lr", "arch_lr"):
-            _check(getattr(self, name) > 0, f"{path}.{name}", "must be > 0")
+            _check(getattr(self, name) > 0, f"search.{name}", "must be > 0")
         for name in ("weight_momentum", "weight_decay", "arch_weight_decay",
                      "jsd_weight"):
-            _check(getattr(self, name) >= 0, f"{path}.{name}", "must be >= 0")
-        for name, hi in (("arch_beta1", 1.0), ("arch_beta2", 1.0)):
-            _check(0 <= getattr(self, name) < hi, f"{path}.{name}", "must be in [0,1)")
+            _check(getattr(self, name) >= 0, f"search.{name}", "must be >= 0")
+        for name in ("arch_beta1", "arch_beta2"):
+            _check(0 <= getattr(self, name) < 1, f"search.{name}", "must be in [0,1)")
         _check(
             0 <= self.warmstart_epochs < self.epochs,
-            f"{path}.warmstart_epochs",
+            "search.warmstart_epochs",
             "must be below the epoch budget",
         )
         _check(
             0 <= self.drnas_warmstart_epochs < self.drnas_stage_epochs,
-            f"{path}.drnas_warmstart_epochs",
+            "search.drnas_warmstart_epochs",
             "must be below the stage budget",
         )
-        _check(0 < self.val_fraction < 1, f"{path}.val_fraction", "must be in (0,1)")
+        _check(0 < self.val_fraction < 1, "search.val_fraction", "must be in (0,1)")
         return self
-
-    @classmethod
-    def from_dict(cls, d, path="search"):
-        return cls(**_take(d, cls, path)).validate(path)
 
 
 @dataclass(frozen=True)
@@ -150,20 +153,16 @@ class TrainHyperparams:
     weight_decay: float = 3e-4
     label_smoothing: float = 0.0
 
-    def validate(self, path="train"):
-        _check(self.epochs >= 1, f"{path}.epochs", "must be >= 1")
-        _check(self.batch >= 1, f"{path}.batch", "must be >= 1")
-        _check(self.lr > 0, f"{path}.lr", "must be > 0")
-        _check(self.momentum >= 0, f"{path}.momentum", "must be >= 0")
-        _check(self.weight_decay >= 0, f"{path}.weight_decay", "must be >= 0")
+    def validate(self):
+        _check(self.epochs >= 1, "train.epochs", "must be >= 1")
+        _check(self.batch >= 1, "train.batch", "must be >= 1")
+        _check(self.lr > 0, "train.lr", "must be > 0")
+        _check(self.momentum >= 0, "train.momentum", "must be >= 0")
+        _check(self.weight_decay >= 0, "train.weight_decay", "must be >= 0")
         _check(
-            0 <= self.label_smoothing < 1, f"{path}.label_smoothing", "must be in [0,1)"
+            0 <= self.label_smoothing < 1, "train.label_smoothing", "must be in [0,1)"
         )
         return self
-
-    @classmethod
-    def from_dict(cls, d, path="train"):
-        return cls(**_take(d, cls, path)).validate(path)
 
 
 @dataclass(frozen=True)
@@ -173,7 +172,7 @@ class ExperimentConfig:
     model: ModelSpec = field(default_factory=ModelSpec)
     search: SearchHyperparams = field(default_factory=SearchHyperparams)
     train: TrainHyperparams = field(default_factory=TrainHyperparams)
-    seeds: tuple = (0, 1, 2)
+    seeds: tuple[int, ...] = (0, 1, 2)
     out_dir: str = "runs/exp"
     pool_size: int = 25  # sample budget of random-search baselines
 
@@ -184,7 +183,7 @@ class ExperimentConfig:
             f"must be one of {', '.join(METHODS)}",
         )
         self.data.validate()
-        model_spec_from_dict(dataclasses.asdict(self.model))
+        _validate_model(self.model)
         self.search.validate()
         self.train.validate()
         _check(len(self.seeds) >= 1, "seeds", "must list at least one seed")
@@ -212,18 +211,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(_take(d, cls, "config"))
-        if "data" in d:
-            d["data"] = DataSpec.from_dict(d["data"])
-        if "model" in d:
-            d["model"] = model_spec_from_dict(d["model"])
-        if "search" in d:
-            d["search"] = SearchHyperparams.from_dict(d["search"])
-        if "train" in d:
-            d["train"] = TrainHyperparams.from_dict(d["train"])
-        if "seeds" in d:
-            d["seeds"] = tuple(d["seeds"])
-        return cls(**d).validate()
+        return _parse(d, cls, "config").validate()
 
     @classmethod
     def load(cls, path):
@@ -237,10 +225,7 @@ class ExperimentConfig:
         return cls.from_dict(raw)
 
     def to_dict(self):
-        d = dataclasses.asdict(self)
-        d["seeds"] = list(self.seeds)
-        d["model"]["ops"] = list(self.model.ops)
-        return d
+        return dataclasses.asdict(self)
 
     def canonical_json(self):
         return json.dumps(self.to_dict(), sort_keys=True, indent=1) + "\n"

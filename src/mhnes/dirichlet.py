@@ -24,30 +24,20 @@ def _gamma_mt(shape_params, rng):
     a = shape_params
     d = a + 1.0 - 1.0 / 3.0
     c = 1.0 / (3.0 * np.sqrt(d))
-    x = rng.standard_normal(a.shape)
-    v = (1.0 + c * x) ** 3
-    u = 1.0 - rng.random(a.shape)  # in (0, 1]
-    ok = (v > 0) & (
-        np.log(u) < 0.5 * x**2 + d - d * v + d * np.log(np.where(v > 0, v, 1.0))
-    )
-    while not ok.all():
-        m = ~ok
-        xm = rng.standard_normal(int(m.sum()))
-        vm = (1.0 + c[m] * xm) ** 3
-        um = 1.0 - rng.random(int(m.sum()))
-        okm = (vm > 0) & (
-            np.log(um)
-            < 0.5 * xm**2 + d[m] - d[m] * vm + d[m] * np.log(np.where(vm > 0, vm, 1.0))
+    x, v = np.empty(a.size), np.empty(a.size)
+    todo = np.arange(a.size)  # flat indices not yet accepted, in row-major order
+    while todo.size:
+        dt, xt = d.flat[todo], rng.standard_normal(todo.size)
+        vt = (1.0 + c.flat[todo] * xt) ** 3
+        ut = 1.0 - rng.random(todo.size)  # in (0, 1]
+        ok = (vt > 0) & (
+            np.log(ut)
+            < 0.5 * xt**2 + dt - dt * vt + dt * np.log(np.where(vt > 0, vt, 1.0))
         )
-        for arr, new in ((x, xm), (v, vm)):
-            cur = arr[m]
-            cur[okm] = new[okm]
-            arr[m] = cur
-        acc = ok[m]
-        acc[okm] = True
-        ok[m] = acc
+        x[todo[ok]], v[todo[ok]] = xt[ok], vt[ok]
+        todo = todo[~ok]
     boost = 1.0 - rng.random(a.shape)  # in (0, 1]
-    return d, c, x, v, boost
+    return d, c, x.reshape(a.shape), v.reshape(a.shape), boost
 
 
 def sample_simplex_rows(conc, rng):

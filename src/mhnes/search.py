@@ -7,8 +7,9 @@ update plus a weight update) is one step. A searcher's optional
 ``epoch_hook(epoch, net, arch, (val_x, val_y))`` runs after every search
 epoch and receives the searcher's own validation split; ``epoch`` counts
 across the whole search, so DrNAS's stage 2 continues after stage 1's last
-epoch. A non-finite step loss raises ``FloatingPointError`` naming the
-budget phase, the epoch within that phase and the step.
+epoch. A non-finite step loss, or an architecture update that leaves a
+non-finite parameter, raises ``FloatingPointError`` naming the budget phase,
+the epoch within that phase and the step.
 """
 
 from __future__ import annotations
@@ -93,22 +94,24 @@ def _train_step(net, opt, loss_fn, x, y, lr=None, **forward_kwargs):
     return loss.item()
 
 
-def _check_finite(phase, epoch, step, *step_losses):
-    """Fail at the step whose loss is non-finite (``None`` marks a skipped
-    loss). Only the scalar losses are checked: a non-finite update shows up
-    as a non-finite loss at the next step."""
-    bad = [v for v in step_losses if v is not None and not np.isfinite(v)]
-    if bad:
-        raise FloatingPointError(
-            f"non-finite loss {bad[0]} in phase {phase!r}, epoch {epoch}, "
-            f"step {step}"
-        )
+def _check_finite(phase, epoch, step, *values):
+    """Fail at the step where a value turned non-finite: a scalar loss
+    (``None`` marks a skipped one) or the flat architecture parameters. A
+    non-finite weight update shows up as a non-finite loss at the next step."""
+    for v in values:
+        if v is not None and not np.isfinite(v).all():
+            what = f"loss {v}" if np.ndim(v) == 0 else "architecture parameters"
+            raise FloatingPointError(
+                f"non-finite {what} in phase {phase!r}, epoch {epoch}, step {step}"
+            )
 
 
 def bilevel_search_step(net, arch, w_opt, a_opt, train_batch, val_batch, hp, lr,
                         warm, sample_rng=None):
     """One alternation: architecture Adam step (skipped during warmstart),
-    then a weight SGD step. Returns the two loss values."""
+    then a weight SGD step. Returns the two loss values; the weight loss is
+    ``None`` when the architecture update left a non-finite parameter, since
+    the weight step would run on it (the caller fails the step)."""
     a_loss = None
     if not warm:
         a_loss = _train_step(
@@ -117,6 +120,8 @@ def bilevel_search_step(net, arch, w_opt, a_opt, train_batch, val_batch, hp, lr,
             *val_batch, mode="continuous", rng=sample_rng,
         )
         arch.clamp()
+        if not np.isfinite(arch.flat()).all():
+            return a_loss, None
     w_loss = _train_step(
         net, w_opt, losses.ensemble_train_loss, *train_batch, lr,
         mode="continuous", rng=sample_rng,
@@ -161,7 +166,7 @@ def _run_bilevel_phase(net, arch, hp, epochs, warmstart, data_split, rng,
                 warm=(epoch < warmstart),
                 sample_rng=sample_rng,
             )
-            _check_finite(phase, epoch, steps, *step_losses)
+            _check_finite(phase, epoch, steps, *step_losses, arch.flat())
             steps += 1
         if epoch_hook is not None:
             epoch_hook(first_epoch + epoch, net, arch, (va_x, va_y))
@@ -169,8 +174,16 @@ def _run_bilevel_phase(net, arch, hp, epochs, warmstart, data_split, rng,
 
 
 def _split_search_data(bundle, hp: SearchHyperparams, rng):
+    """Shuffle the training split into the searcher's (train, val) halves;
+    both must hold at least one example."""
     x, y = bundle.split("train")
-    n_tr, _ = search_split_sizes(len(y), hp.val_fraction)
+    n_tr, n_va = search_split_sizes(len(y), hp.val_fraction)
+    if min(n_tr, n_va) < 1:
+        raise ValueError(
+            f"search split of n_train={len(y)} at val_fraction={hp.val_fraction} "
+            f"leaves {n_tr} training and {n_va} validation examples; "
+            "each half needs at least one"
+        )
     order = rng.permutation(len(y))
     tr, va = order[:n_tr], order[n_tr:]
     return (x[tr], y[tr]), (x[va], y[va])

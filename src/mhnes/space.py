@@ -40,7 +40,7 @@ class ModelSpec:
     num_heads: int = 3
     cells_per_head: int = 3
     nodes: int = 4
-    ops: tuple = DEFAULT_OPS
+    ops: tuple[str, ...] = DEFAULT_OPS
     backbone_layers: int = 1
     backbone_width: int = 16
     head_width: int = 16

@@ -1,17 +1,48 @@
 """Config validation: field-path errors, canonical JSON, hashing."""
 
+import copy
 import dataclasses
 import json
 
 import pytest
 
+from mhnes import cli
 from mhnes.config import (
     ConfigError,
-    DataSpec,
     ExperimentConfig,
     SearchHyperparams,
     TrainHyperparams,
 )
+
+# one wrong-typed field per case: (field path, JSON value)
+WRONG_TYPES = [
+    ("train.epochs", "2"),
+    ("train.epochs", 1.5),
+    ("train.epochs", True),
+    ("data.n_train", 8.5),
+    ("train.lr", "0.1"),
+    ("data.path", 3),
+    ("seeds", 3),
+    ("model.ops", [["skip_connect"]]),
+]
+
+# a run small enough to finish quickly if a bad value got through
+SMALL_RUN = {
+    "method": "nes_rs", "seeds": [0], "pool_size": 1,
+    "data": {"n_train": 8, "n_val": 4, "n_test": 4},
+    "train": {"epochs": 1, "batch": 8},
+}
+
+
+def with_field(path, value, base):
+    """A copy of the config dict ``base`` with the field at dotted ``path`` set."""
+    d = copy.deepcopy(base)
+    *sections, key = path.split(".")
+    node = d
+    for name in sections:
+        node = node.setdefault(name, {})
+    node[key] = value
+    return d
 
 
 class TestValidation:
@@ -54,6 +85,22 @@ class TestValidation:
         with pytest.raises(ConfigError, match="seeds"):
             ExperimentConfig.from_dict({"seeds": [-1]})
 
+    @pytest.mark.parametrize("path,value", WRONG_TYPES)
+    def test_wrong_type_rejected_with_its_path(self, tmp_path, capsys, path, value):
+        out = tmp_path / "run"
+        d = with_field(path, value, {**SMALL_RUN, "out_dir": str(out)})
+        with pytest.raises(ConfigError, match=rf"^config\.{path}\b.*: expected"):
+            ExperimentConfig.from_dict(d)
+        (tmp_path / "c.json").write_text(json.dumps(d))
+        assert cli.main(["baseline", "--config", str(tmp_path / "c.json")]) == 1
+        assert f"config.{path}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ints_accepted_unconverted_in_float_fields(self):
+        cfg = ExperimentConfig.from_dict({"train": {"lr": 1}, "data": {"noise_std": 0}})
+        assert type(cfg.train.lr) is int and type(cfg.data.noise_std) is int
+        assert '"lr": 1,' in cfg.canonical_json()
+
     def test_val_fraction_bounds(self):
         with pytest.raises(ConfigError, match="val_fraction"):
             SearchHyperparams(val_fraction=1.0).validate()
@@ -94,9 +141,9 @@ class TestSerialization:
 
 class TestDataSpec:
     def test_path_passthrough(self):
-        spec = DataSpec.from_dict({"path": "some/file.bin"})
-        assert spec.path == "some/file.bin"
+        cfg = ExperimentConfig.from_dict({"data": {"path": "some/file.bin"}})
+        assert cfg.data.path == "some/file.bin"
 
     def test_split_sizes_positive(self):
         with pytest.raises(ConfigError, match=r"data\.n_val"):
-            DataSpec.from_dict({"n_val": 0})
+            ExperimentConfig.from_dict({"data": {"n_val": 0}})

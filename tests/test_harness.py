@@ -168,6 +168,17 @@ class TestRunArtifacts:
         rows = (out / "metrics.csv").read_text().strip().splitlines()[1:]
         assert rows and all(r.split(",")[1] in ("0", "mean", "std") for r in rows)
 
+    @pytest.mark.parametrize("method", ["pcdarts", "drnas", "randomnas"])
+    def test_empty_search_validation_half_exits_two(self, tmp_path, capsys, method):
+        d = tiny_config_dict(method=method, out=str(tmp_path / "run"), seeds=(0,))
+        d["data"]["n_train"] = 3
+        d["search"]["val_fraction"] = 0.1
+        (tmp_path / "c.json").write_text(json.dumps(d))
+        assert cli.main(["search", "--config", str(tmp_path / "c.json")]) == 2
+        manifest = json.loads((tmp_path / "run/seed_0/manifest.json").read_text())
+        assert manifest["error"].startswith("ValueError: search split of n_train=3")
+        assert "0 validation examples" in manifest["error"]
+
     def test_mismatched_classes_rejected(self, tmp_path):
         d = tiny_config_dict(out=str(tmp_path / "m"))
         d["model"]["num_classes"] = 4

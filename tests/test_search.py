@@ -123,13 +123,52 @@ class TestBilevelGradients:
             assert abs(la - lb) < 1e-10
 
 
-class TestPcdarts:
-    def test_nonfinite_loss_fails_at_its_step(self, bundle):
-        hp = dataclasses.replace(FAST_HP, arch_lr=1e300)
-        where = r"phase 'search', epoch 1, step \d+"
-        with pytest.raises(FloatingPointError, match=where):
-            search.pcdarts_search(bundle, TINY, hp, seed=0)
+BLOW_UP_HP = dataclasses.replace(FAST_HP, arch_lr=1e300)
 
+# name: (training examples, the run, where it must fail)
+BLOW_UPS = {
+    "pcdarts": (
+        128,
+        lambda b: search.pcdarts_search(b, TINY, BLOW_UP_HP, seed=0),
+        r"phase 'search', epoch 1, step \d+",
+    ),
+    # stage 2's first architecture update overflows the concentrations
+    "drnas": (
+        64,
+        lambda b: search.drnas_search(b, TINY, BLOW_UP_HP, seed=0),
+        r"architecture parameters in phase 'search_stage2', epoch 1, step 1$",
+    ),
+    "train_discrete": (
+        128,
+        lambda b: search.train_discrete(
+            sample_random_genotype(TINY, np.random.default_rng(2)), b,
+            TrainHyperparams(epochs=2, batch=32, lr=1e300), seed=0,
+        ),
+        r"loss \S+ in phase 'train', epoch 0, step \d+",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BLOW_UPS)
+def test_blow_up_fails_at_its_step(name):
+    n_train, run, where = BLOW_UPS[name]
+    data = gen_synthetic(classes=3, n_train=n_train, n_val=64, n_test=64,
+                         image_size=16, seed=5)
+    with pytest.raises(FloatingPointError, match=where):
+        run(data)
+
+
+@pytest.mark.parametrize("searcher", [search.pcdarts_search, search.drnas_search,
+                                      search.randomnas_search])
+def test_empty_validation_half_rejected(searcher):
+    data = gen_synthetic(classes=3, n_train=3, n_val=2, n_test=2, image_size=16)
+    hp = dataclasses.replace(FAST_HP, val_fraction=0.1)
+    where = r"n_train=3 at val_fraction=0.1 leaves 3 training and 0 validation"
+    with pytest.raises(ValueError, match=where):
+        searcher(data, TINY, hp, seed=0)
+
+
+class TestPcdarts:
     def test_genotype_valid_and_deterministic(self, bundle):
         a, budget, _ = search.pcdarts_search(bundle, TINY, FAST_HP, seed=9)
         b, _, _ = search.pcdarts_search(bundle, TINY, FAST_HP, seed=9)
@@ -309,13 +348,6 @@ class TestTrainDiscrete:
             x = bundle.split(split)[0]
             np.testing.assert_array_equal(ma.predict(x), mb.predict(x))
 
-    def test_nonfinite_loss_fails_at_its_step(self, bundle):
-        geno = sample_random_genotype(TINY, np.random.default_rng(2))
-        hp = TrainHyperparams(epochs=2, batch=32, lr=1e300)
-        where = r"phase 'train', epoch 0, step \d+"
-        with pytest.raises(FloatingPointError, match=where):
-            search.train_discrete(geno, bundle, hp, seed=0)
-
     def test_one_tape_alive_per_step(self, bundle, monkeypatch):
         # a finished step's tape must be garbage before the next step records,
         # freed by reference counting alone
@@ -373,6 +405,20 @@ class TestTrainDiscrete:
 
 
 class TestBudgets:
+    @pytest.mark.parametrize("method", ["pcdarts", "drnas", "randomnas"])
+    def test_executed_phases_match_plan(self, method):
+        # 65 examples split 33/32: 3 and 2 batches of 16 per epoch; bilevel
+        # steps pair the two halves' batches, RandomNAS walks the 33
+        data = gen_synthetic(classes=3, n_train=65, n_val=8, n_test=8,
+                             image_size=16, seed=5)
+        hp = dataclasses.replace(FAST_HP, batch=16)
+        _, executed, _ = getattr(search, f"{method}_search")(data, TINY, hp, seed=0)
+        planned = search.planned_budget(method, 65, hp, TrainHyperparams(), 1, 1)
+        got = [(p["phase"], p["steps"]) for p in executed.phases]
+        assert got == [(p["phase"], p["steps"]) for p in planned.phases
+                       if p["phase"] != "train"]
+        assert got[0][1] == 2 * (3 if method == "randomnas" else 2)  # 2 epochs
+
     def test_planned_matches_defaults_arithmetic(self):
         hp, tp = SearchHyperparams(), TrainHyperparams()
         one_shot = search.planned_budget("drnas", 2000, hp, tp, 25, 3)
