@@ -24,7 +24,7 @@ from . import analysis, data as datamod, runner, search as searchmod
 from .config import ConfigError, DataSpec, ExperimentConfig, ONE_SHOT_METHODS
 from .data import DataFormatError
 from .ensembles import Ensemble
-from .space import MultiHeadGenotype
+from .space import MultiHeadGenotype, sample_random_genotype
 from .supernet import DiscreteNetwork
 
 
@@ -122,6 +122,15 @@ def _load_config(path, seeds=None, out=None):
     return cfg
 
 
+def _load_genotype(path):
+    """One multi-head genotype; a pool baseline's member list is an input error."""
+    d = json.loads(Path(path).read_text())
+    if "members" in d:
+        raise UsageError(f"{path}: a member list of {len(d['members'])} genotypes, "
+                         "not one multi-head genotype")
+    return MultiHeadGenotype.from_dict(d)
+
+
 def _cmd_dataset_gen(args):
     spec = DataSpec(**{name: getattr(args, name) for name in _GEN_FLAGS.values()})
     bundle = runner.load_bundle(spec.validate())
@@ -178,7 +187,7 @@ def _write_metrics(out, ensemble, bundle, cfg, seed, steps, wall_sec):
 
 def _cmd_train(args):
     cfg = _load_config(args.config, seeds=[args.seed])  # checks --seed too
-    genotype = MultiHeadGenotype.load(args.genotype)
+    genotype = _load_genotype(args.genotype)
     bundle = runner.load_bundle(cfg.data)
     t0 = time.perf_counter()
     model, budget = searchmod.train_discrete(genotype, bundle, cfg.train, args.seed)
@@ -197,7 +206,7 @@ def _cmd_train(args):
 
 def _cmd_eval(args):
     cfg = _load_config(args.config)
-    genotype = MultiHeadGenotype.load(args.genotype)
+    genotype = _load_genotype(args.genotype)
     bundle = runner.load_bundle(cfg.data)
     rng = np.random.default_rng(0)
     model = DiscreteNetwork(rng, genotype, num_classes=bundle.classes)
@@ -261,14 +270,12 @@ def _cmd_analyze_regret(args):
 def _cmd_analyze_hamming(args):
     if args.sample < 0:
         raise UsageError(f"--sample: must be >= 0, got {args.sample}")
-    genotypes = [MultiHeadGenotype.load(p) for p in args.genotypes]
+    genotypes = [_load_genotype(p) for p in args.genotypes]
     if args.sample:
         if not args.config:
             raise UsageError("--sample needs --config for the search space")
         cfg = _load_config(args.config, seeds=[args.seed])
         rng = np.random.default_rng(args.seed)
-        from .space import sample_random_genotype
-
         genotypes += [
             sample_random_genotype(cfg.model, rng) for _ in range(args.sample)
         ]

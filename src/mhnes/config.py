@@ -38,9 +38,10 @@ def _check(cond, path, msg):
         raise ConfigError(f"{path}: {msg}")
 
 
-def _parse(value, cls, path):
+def _parse(value, cls, path, seq=list):
     """Build ``cls`` from its JSON ``value``: a config dataclass from an
-    object, ``tuple[T, ...]`` from a list of ``T``, a scalar as itself.
+    object, ``tuple[T, ...]`` from a ``seq`` of ``T`` (a list in JSON, a
+    tuple in a hand-built config's ``to_dict``), a scalar as itself.
 
     Unknown keys and wrong-typed values raise ``ConfigError`` naming their
     path. A bool is never a number, and an int is kept, unconverted, where
@@ -51,12 +52,13 @@ def _parse(value, cls, path):
         types = typing.get_type_hints(cls)
         for key in value:
             _check(key in types, f"{path}.{key}", "unknown field")
-        return cls(**{k: _parse(v, types[k], f"{path}.{k}")
+        return cls(**{k: _parse(v, types[k], f"{path}.{k}", seq)
                       for k, v in value.items()})
     if typing.get_origin(cls) is tuple:
-        _check(isinstance(value, list), path, f"expected a list, got {value!r}")
+        _check(isinstance(value, seq), path, f"expected a {seq.__name__}, got {value!r}")
         item = typing.get_args(cls)[0]
-        return tuple(_parse(v, item, f"{path}[{i}]") for i, v in enumerate(value))
+        return tuple(_parse(v, item, f"{path}[{i}]", seq)
+                     for i, v in enumerate(value))
     allowed = typing.get_args(cls) or (cls,)  # `str | None` -> (str, NoneType)
     if float in allowed:
         allowed += (int,)
@@ -177,6 +179,8 @@ class ExperimentConfig:
     pool_size: int = 25  # sample budget of random-search baselines
 
     def validate(self):
+        """Type-check every field by the JSON rules, then check ranges."""
+        _parse(self.to_dict(), ExperimentConfig, "config", seq=tuple)
         _check(
             self.method in METHODS,
             "method",
@@ -187,26 +191,17 @@ class ExperimentConfig:
         self.search.validate()
         self.train.validate()
         _check(len(self.seeds) >= 1, "seeds", "must list at least one seed")
-        for s in self.seeds:
-            _check(
-                isinstance(s, int) and s >= 0, "seeds", "must be non-negative integers"
-            )
+        _check(min(self.seeds) >= 0, "seeds", "must be non-negative integers")
         _check(self.pool_size >= 1, "pool_size", "must be >= 1")
         _check(
             self.model.num_classes == self.data.classes,
             "model.num_classes",
             f"{self.model.num_classes} does not match data.classes {self.data.classes}",
         )
-        if self.model.head_width % self.search.partial_k:
-            raise ConfigError(
-                "search.partial_k: head_width "
-                f"{self.model.head_width} not divisible by K={self.search.partial_k}"
-            )
-        if self.model.head_width % self.search.drnas_stage2_k:
-            raise ConfigError(
-                "search.drnas_stage2_k: head_width "
-                f"{self.model.head_width} not divisible by K={self.search.drnas_stage2_k}"
-            )
+        for name in ("partial_k", "drnas_stage2_k"):
+            k = getattr(self.search, name)
+            _check(self.model.head_width % k == 0, f"search.{name}",
+                   f"head_width {self.model.head_width} not divisible by K={k}")
         return self
 
     @classmethod

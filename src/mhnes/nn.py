@@ -1,8 +1,9 @@
 """Small layer/module layer over the tensor engine.
 
-Modules auto-register parameters and children through attribute assignment,
-collect parameters recursively, and carry a train/eval flag (only the Norm
-layer behaves differently between the two).
+Modules auto-register parameters and children through attribute assignment.
+One walk over a module tree, ``Module.modules``, collects parameters and
+state arrays and sets the train/eval flag (only a Norm that tracks running
+statistics behaves differently between the two).
 """
 
 from __future__ import annotations
@@ -30,16 +31,22 @@ class Module:
             self._children[name] = value
         object.__setattr__(self, name, value)
 
+    def modules(self, prefix=""):
+        """Pre-order ``(name prefix, module)`` pairs, in registration order."""
+        yield prefix, self
+        for name, child in self._children.items():
+            yield from child.modules(prefix + name + ".")
+
+    def _own_arrays(self):
+        """Name -> array of this module's own state; here, its parameters."""
+        return {name: p.data for name, p in self._params.items()}
+
     def parameters(self):
-        out = list(self._params.values())
-        for child in self._children.values():
-            out.extend(child.parameters())
-        return out
+        return [p for _, m in self.modules() for p in m._params.values()]
 
     def train(self, mode=True):
-        object.__setattr__(self, "training", mode)
-        for child in self._children.values():
-            child.train(mode)
+        for _, m in self.modules():
+            object.__setattr__(m, "training", mode)
         return self
 
     def eval(self):
@@ -48,26 +55,18 @@ class Module:
     def param_count(self):
         return sum(p.size for p in self.parameters())
 
-    def state_arrays(self, prefix=""):
-        """Flat name -> array mapping of parameters and norm statistics."""
-        out = {}
-        for name, p in self._params.items():
-            out[prefix + name] = p.data
-        for name, child in self._children.items():
-            out.update(child.state_arrays(prefix + name + "."))
-        if isinstance(self, Norm) and self.track:
-            out[prefix + "running_mean"] = self.running_mean
-            out[prefix + "running_var"] = self.running_var
-        return out
+    def state_arrays(self):
+        """Flat name -> array mapping of every module's own arrays."""
+        return {
+            prefix + name: a
+            for prefix, m in self.modules()
+            for name, a in m._own_arrays().items()
+        }
 
-    def load_state_arrays(self, arrays, prefix=""):
-        for name, p in self._params.items():
-            p.data[...] = arrays[prefix + name]
-        for name, child in self._children.items():
-            child.load_state_arrays(arrays, prefix + name + ".")
-        if isinstance(self, Norm) and self.track:
-            self.running_mean[...] = arrays[prefix + "running_mean"]
-            self.running_var[...] = arrays[prefix + "running_var"]
+    def load_state_arrays(self, arrays):
+        """Copy ``arrays`` in place into every array ``state_arrays`` names."""
+        for name, a in self.state_arrays().items():
+            a[...] = arrays[name]
 
 
 class ModuleList(Module):
@@ -114,31 +113,37 @@ class Conv2d(Module):
 class Norm(Module):
     """Per-channel normalization without affine parameters.
 
-    During search (track=False) batch statistics are used in every mode.
-    The discrete-network trainer sets track=True: batch statistics in
-    training with running statistics updated at momentum 0.9, running
-    statistics in eval.
+    A new norm uses batch statistics in every mode, as supernet norms do
+    during search. ``DiscreteNetwork`` sets ``track`` on its norms: batch
+    statistics in training, with running statistics updated at momentum
+    ``MOMENTUM``, and running statistics in eval.
     """
 
-    def __init__(self, channels, eps=1e-5, track=False, momentum=0.9):
+    EPS = 1e-5
+    MOMENTUM = 0.9
+
+    def __init__(self, channels):
         super().__init__()
-        self.eps = eps
-        self.track = track
-        self.momentum = momentum
+        self.track = False
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
+
+    def _own_arrays(self):
+        if not self.track:
+            return {}
+        return {"running_mean": self.running_mean, "running_var": self.running_var}
 
     def forward(self, x):
         if self.track and not self.training:
             return convops.channel_standardize(
-                x, self.running_mean, self.running_var, self.eps
+                x, self.running_mean, self.running_var, self.EPS
             )
         if self.track:
             mu, var = convops.batch_channel_stats(x.data)
-            m = self.momentum
+            m = self.MOMENTUM
             self.running_mean = m * self.running_mean + (1 - m) * mu
             self.running_var = m * self.running_var + (1 - m) * var
-        return convops.normalize_no_affine(x, self.eps)
+        return convops.normalize_no_affine(x, self.EPS)
 
     __call__ = forward
 
@@ -156,12 +161,12 @@ class Linear(Module):
 
 
 class ReluConvNorm(Module):
-    """relu -> conv -> norm, the preprocessing/pointwise block used in cells."""
+    """relu -> 1x1 conv -> norm, the preprocessing block of a cell."""
 
-    def __init__(self, rng, c_in, c_out, kernel=1, stride=1, padding=0, track=False):
+    def __init__(self, rng, c_in, c_out):
         super().__init__()
-        self.conv = Conv2d(rng, c_in, c_out, kernel, stride, padding)
-        self.norm = Norm(c_out, track=track)
+        self.conv = Conv2d(rng, c_in, c_out, 1)
+        self.norm = Norm(c_out)
 
     def forward(self, x):
         return self.norm(self.conv(T.relu(x)))

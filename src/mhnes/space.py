@@ -155,11 +155,6 @@ class MultiHeadGenotype:
             json.dumps(self.to_dict(), indent=1, sort_keys=True) + "\n"
         )
 
-    @classmethod
-    def load(cls, path):
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
-
 
 def genotype_from_spec(spec: ModelSpec, heads):
     return MultiHeadGenotype(
@@ -230,15 +225,15 @@ class SubsampleSkip(nn.Module):
 class SepConv(nn.Module):
     """Two stacked depthwise-separable relu-conv-norm blocks."""
 
-    def __init__(self, rng, c, kernel, stride, track=False):
+    def __init__(self, rng, c, kernel, stride):
         super().__init__()
         pad = kernel // 2
         self.dw1 = nn.Conv2d(rng, c, c, kernel, stride, pad, groups=c)
         self.pw1 = nn.Conv2d(rng, c, c, 1)
-        self.n1 = nn.Norm(c, track=track)
+        self.n1 = nn.Norm(c)
         self.dw2 = nn.Conv2d(rng, c, c, kernel, 1, pad, groups=c)
         self.pw2 = nn.Conv2d(rng, c, c, 1)
-        self.n2 = nn.Norm(c, track=track)
+        self.n2 = nn.Norm(c)
 
     def forward(self, x):
         x = self.n1(self.pw1(self.dw1(T.relu(x))))
@@ -250,12 +245,12 @@ class SepConv(nn.Module):
 class DilConv(nn.Module):
     """Dilated depthwise conv followed by a pointwise conv."""
 
-    def __init__(self, rng, c, kernel, stride, track=False):
+    def __init__(self, rng, c, kernel, stride):
         super().__init__()
         pad = (kernel // 2) * 2
         self.dw = nn.Conv2d(rng, c, c, kernel, stride, pad, dilation=2, groups=c)
         self.pw = nn.Conv2d(rng, c, c, 1)
-        self.n = nn.Norm(c, track=track)
+        self.n = nn.Norm(c)
 
     def forward(self, x):
         return self.n(self.pw(self.dw(T.relu(x))))
@@ -302,20 +297,20 @@ class BatchMix(nn.Module):
 
 
 OP_BUILDERS = {
-    "skip_connect": lambda rng, c, stride, track: (
+    "skip_connect": lambda rng, c, stride: (
         Identity() if stride == 1 else SubsampleSkip()
     ),
-    "sep_conv_3x3": lambda rng, c, stride, track: SepConv(rng, c, 3, stride, track),
-    "sep_conv_5x5": lambda rng, c, stride, track: SepConv(rng, c, 5, stride, track),
-    "dil_conv_3x3": lambda rng, c, stride, track: DilConv(rng, c, 3, stride, track),
-    "dil_conv_5x5": lambda rng, c, stride, track: DilConv(rng, c, 5, stride, track),
-    "max_pool_3x3": lambda rng, c, stride, track: PoolOp("max", stride),
-    "avg_pool_3x3": lambda rng, c, stride, track: PoolOp("avg", stride),
-    "batch_mix_a": lambda rng, c, stride, track: BatchMix(stride),
+    "sep_conv_3x3": lambda rng, c, stride: SepConv(rng, c, 3, stride),
+    "sep_conv_5x5": lambda rng, c, stride: SepConv(rng, c, 5, stride),
+    "dil_conv_3x3": lambda rng, c, stride: DilConv(rng, c, 3, stride),
+    "dil_conv_5x5": lambda rng, c, stride: DilConv(rng, c, 5, stride),
+    "max_pool_3x3": lambda rng, c, stride: PoolOp("max", stride),
+    "avg_pool_3x3": lambda rng, c, stride: PoolOp("avg", stride),
+    "batch_mix_a": lambda rng, c, stride: BatchMix(stride),
 }
 
 
-def build_op(name, rng, c, stride, track=False):
+def build_op(name, rng, c, stride):
     if name not in OP_BUILDERS:
         raise ValueError(f"unknown operation {name!r}")
-    return OP_BUILDERS[name](rng, c, stride, track)
+    return OP_BUILDERS[name](rng, c, stride)

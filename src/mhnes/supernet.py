@@ -111,7 +111,7 @@ class ArchParams:
 class MixedEdge(nn.Module):
     """Candidate operations on one edge, mixed by given weights or picked by name."""
 
-    def __init__(self, rng, ops, c, stride, k=1, track=False):
+    def __init__(self, rng, ops, c, stride, k=1):
         super().__init__()
         if c % k:
             raise ValueError(f"channels {c} not divisible by partial factor K={k}")
@@ -120,7 +120,7 @@ class MixedEdge(nn.Module):
         self.stride = stride
         self.names = tuple(ops)
         self.ops = nn.ModuleList(
-            [build_op(name, rng, c // k, stride, track) for name in ops]
+            [build_op(name, rng, c // k, stride) for name in ops]
         )
 
     def _through_ops(self, x, w_row=None, op=None):
@@ -149,18 +149,15 @@ class MixedCell(nn.Module):
     on the others.
     """
 
-    def __init__(self, rng, spec: ModelSpec, edge_ops, c_in, c, reduction, k=1,
-                 track=False):
+    def __init__(self, rng, spec: ModelSpec, edge_ops, c_in, reduction, k=1):
         super().__init__()
         self.spec = spec
-        self.reduction = reduction
-        self.pre = nn.ModuleList(
-            [nn.ReluConvNorm(rng, c_in, c, 1, track=track) for _ in range(2)]
-        )
+        c = spec.head_width
+        self.pre = nn.ModuleList([nn.ReluConvNorm(rng, c_in, c) for _ in range(2)])
         self.edges = nn.ModuleList()
         for (i, _j), ops in zip(spec.edges(), edge_ops):
             stride = 2 if (reduction and i < 2) else 1
-            self.edges.append(MixedEdge(rng, ops, c, stride, k, track))
+            self.edges.append(MixedEdge(rng, ops, c, stride, k))
 
     def forward(self, x, table=None, betas=None, cell_genotype=None, shared=None):
         """Mixture forward when ``table`` is given, masked single-op forward
@@ -215,17 +212,13 @@ DiscreteCell = MixedCell
 
 
 class ResidualBlock(nn.Module):
-    def __init__(self, rng, c_in, c_out, stride, track=False):
+    def __init__(self, rng, c, stride):
         super().__init__()
-        self.conv1 = nn.Conv2d(rng, c_in, c_out, 3, stride, 1)
-        self.n1 = nn.Norm(c_out, track=track)
-        self.conv2 = nn.Conv2d(rng, c_out, c_out, 3, 1, 1)
-        self.n2 = nn.Norm(c_out, track=track)
-        self.shortcut = (
-            nn.Conv2d(rng, c_in, c_out, 1, stride, 0)
-            if (stride != 1 or c_in != c_out)
-            else None
-        )
+        self.conv1 = nn.Conv2d(rng, c, c, 3, stride, 1)
+        self.n1 = nn.Norm(c)
+        self.conv2 = nn.Conv2d(rng, c, c, 3, 1, 1)
+        self.n2 = nn.Norm(c)
+        self.shortcut = nn.Conv2d(rng, c, c, 1, stride, 0) if stride != 1 else None
 
     def forward(self, x):
         y = self.n2(self.conv2(T.relu(self.n1(self.conv1(x)))))
@@ -242,16 +235,16 @@ class Backbone(nn.Module):
     single-channel images.
     """
 
-    def __init__(self, rng, spec: ModelSpec, track=False):
+    def __init__(self, rng, spec: ModelSpec):
         super().__init__()
         w = spec.backbone_width
         self.stem = nn.Conv2d(rng, 1, w, 3, 1, 1)
-        self.stem_norm = nn.Norm(w, track=track)
+        self.stem_norm = nn.Norm(w)
         blocks = []
         for _stage in range(2):
-            blocks.append(ResidualBlock(rng, w, w, 2, track))
+            blocks.append(ResidualBlock(rng, w, 2))
             for _ in range(spec.backbone_layers - 1):
-                blocks.append(ResidualBlock(rng, w, w, 1, track))
+                blocks.append(ResidualBlock(rng, w, 1))
         self.blocks = nn.ModuleList(blocks)
 
     def forward(self, x):
@@ -264,15 +257,15 @@ class Backbone(nn.Module):
 
 
 class _HeadStack(nn.Module):
-    def __init__(self, rng, spec, edge_ops, c_in, k, track):
+    def __init__(self, rng, spec, edge_ops, k):
         super().__init__()
-        c = spec.head_width
+        c_in = spec.backbone_width
         cells = []
         for ci in range(spec.cells_per_head):
-            cells.append(MixedCell(rng, spec, edge_ops, c_in, c, ci == 0, k, track))
-            c_in = spec.nodes * c
+            cells.append(MixedCell(rng, spec, edge_ops, c_in, ci == 0, k))
+            c_in = spec.nodes * spec.head_width
         self.cells = nn.ModuleList(cells)
-        self.classifier = nn.Linear(rng, spec.nodes * c, spec.num_classes)
+        self.classifier = nn.Linear(rng, c_in, spec.num_classes)
 
     def forward(self, x, table=None, betas=None, cell_genotype=None, shared=None):
         """Class probabilities; ``shared`` goes to the first cell only, since
@@ -290,16 +283,11 @@ class Supernet(nn.Module):
 
     def __init__(self, rng, spec: ModelSpec, arch: ArchParams, k=1):
         super().__init__()
-        self.spec = spec
         self.arch = arch
-        self.k = k
         self.backbone = Backbone(rng, spec)
         self.heads = nn.ModuleList(
             [
-                _HeadStack(
-                    rng, spec, [arch.head_ops[h]] * spec.num_edges,
-                    spec.backbone_width, k, False,
-                )
+                _HeadStack(rng, spec, [arch.head_ops[h]] * spec.num_edges, k)
                 for h in range(spec.num_heads)
             ]
         )
@@ -389,9 +377,10 @@ class DiscreteNetwork(nn.Module):
 
     The supernet's backbone and head modules, with one operation on each
     chosen edge. ``forward`` and ``predict`` stay defined on this class,
-    where the benchmark's tracer looks them up. Normalization tracks
-    running statistics (used in eval mode); training always initializes
-    fresh parameters — no weights are inherited from a supernetwork.
+    where the benchmark's tracer looks them up. Its norms track running
+    statistics for eval mode unless ``track`` is False (batch statistics, as
+    in the supernet). Training initializes fresh parameters; none are
+    inherited from a supernetwork.
     """
 
     def __init__(self, rng, genotype: MultiHeadGenotype, num_classes, track=True):
@@ -408,17 +397,16 @@ class DiscreteNetwork(nn.Module):
             backbone_width=genotype.backbone_width,
             head_width=genotype.head_width,
         )
-        self.spec = spec
-        self.backbone = Backbone(rng, spec, track=track)
+        self.backbone = Backbone(rng, spec)
         self.heads = nn.ModuleList(
             [
-                _HeadStack(
-                    rng, spec, _chosen_edge_ops(spec, cell_genotype),
-                    spec.backbone_width, 1, track,
-                )
+                _HeadStack(rng, spec, _chosen_edge_ops(spec, cell_genotype), 1)
                 for cell_genotype in genotype.heads
             ]
         )
+        for _, m in self.modules():
+            if isinstance(m, nn.Norm):
+                m.track = track
 
     def forward(self, x):
         feats = self.backbone(T.as_tensor(x))

@@ -6,9 +6,10 @@ import json
 
 import pytest
 
-from mhnes import cli
+from mhnes import cli, runner
 from mhnes.config import (
     ConfigError,
+    DataSpec,
     ExperimentConfig,
     SearchHyperparams,
     TrainHyperparams,
@@ -24,6 +25,19 @@ WRONG_TYPES = [
     ("data.path", 3),
     ("seeds", 3),
     ("model.ops", [["skip_connect"]]),
+]
+
+# one wrong-typed field per hand-built config: (config, expected error)
+HAND_BUILT_WRONG_TYPES = [
+    (ExperimentConfig(train=TrainHyperparams(epochs=1.5)),
+     "config.train.epochs: expected int, got 1.5"),
+    (ExperimentConfig(train=TrainHyperparams(lr="0.1")),
+     "config.train.lr: expected float, got '0.1'"),
+    (ExperimentConfig(train=TrainHyperparams(batch=True)),
+     "config.train.batch: expected int, got True"),
+    (ExperimentConfig(data=DataSpec(path=3)),
+     "config.data.path: expected str | None, got 3"),
+    (ExperimentConfig(seeds=[0]), "config.seeds: expected a tuple, got [0]"),
 ]
 
 # a run small enough to finish quickly if a bad value got through
@@ -94,6 +108,17 @@ class TestValidation:
         (tmp_path / "c.json").write_text(json.dumps(d))
         assert cli.main(["baseline", "--config", str(tmp_path / "c.json")]) == 1
         assert f"config.{path}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cfg,error", HAND_BUILT_WRONG_TYPES,
+                             ids=[e.split(":")[0] for _, e in HAND_BUILT_WRONG_TYPES])
+    def test_hand_built_wrong_type_rejected_with_its_path(self, tmp_path, cfg, error):
+        with pytest.raises(ConfigError) as exc:
+            cfg.validate()
+        assert str(exc.value) == error
+        out = tmp_path / "run"
+        with pytest.raises(ConfigError, match=error.split(":")[0]):
+            runner.run(dataclasses.replace(cfg, out_dir=str(out)))
         assert not out.exists()
 
     def test_ints_accepted_unconverted_in_float_fields(self):

@@ -141,7 +141,8 @@ class TestRunArtifacts:
     def test_nonfinite_loss_names_its_step_in_the_manifest(self, tmp_path):
         d = tiny_config_dict(out=str(tmp_path / "nan"), seeds=(0,))
         d["train"]["lr"] = 1e300
-        out = runner.run(ExperimentConfig.from_dict(d))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            out = runner.run(ExperimentConfig.from_dict(d))
         error = json.loads((out / "seed_0" / "manifest.json").read_text())["error"]
         assert error.startswith("FloatingPointError")
         assert "phase 'train'" in error
@@ -198,13 +199,11 @@ class TestRunArtifacts:
         assert not (tmp_path / "m").exists()
 
     def test_one_shot_method_writes_loadable_genotype(self, tmp_path):
-        from mhnes.space import MultiHeadGenotype
-
         cfg = ExperimentConfig.from_dict(
             tiny_config_dict(method="randomnas", out=str(tmp_path / "rn"), seeds=(0,))
         )
         out = runner.run(cfg)
-        geno = MultiHeadGenotype.load(out / "seed_0" / "genotype.json")
+        geno = cli._load_genotype(out / "seed_0" / "genotype.json")
         geno.validate()
 
     def test_pool_method_writes_member_list(self, tmp_path):
@@ -344,6 +343,25 @@ class TestCli:
              "--out", str(tmp_path / "o")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["train", "eval", "hamming"])
+    def test_member_list_genotype_is_a_usage_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(tiny_config_dict()))
+        one = tmp_path / "one.json"
+        geno = save_random_genotype(tiny_config_dict(), one)
+        members = tmp_path / "members.json"
+        members.write_text(json.dumps({"members": [geno.to_dict()] * 2}))
+        out = tmp_path / "o"
+        argv = {
+            "train": ["train", "--config", str(cfg), "--genotype", str(members)],
+            "eval": ["eval", "--config", str(cfg), "--genotype", str(members),
+                     "--weights", str(tmp_path / "w.npz")],
+            "hamming": ["analyze", "hamming", "--genotypes", str(one), str(members)],
+        }[command]
+        assert cli.main(argv + ["--out", str(out)]) == 1
+        assert f"{members}: a member list of 2 genotypes" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_report_matches_hand_merge(self, tmp_path, capsys):
         csv1 = tmp_path / "a.csv"

@@ -154,8 +154,12 @@ def test_blow_up_fails_at_its_step(name):
     n_train, run, where = BLOW_UPS[name]
     data = gen_synthetic(classes=3, n_train=n_train, n_val=64, n_test=64,
                          image_size=16, seed=5)
-    with pytest.raises(FloatingPointError, match=where):
+    with pytest.warns(RuntimeWarning) as caught, \
+            pytest.raises(FloatingPointError, match=where):
         run(data)
+    # overflows, and in Adam the inf / inf that follows one
+    kinds = {str(w.message).split(" encountered")[0] for w in caught}
+    assert "overflow" in kinds and kinds <= {"overflow", "invalid value"}
 
 
 @pytest.mark.parametrize("searcher", [search.pcdarts_search, search.drnas_search,

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 from support import supernet_as_discrete_arrays
 
-from mhnes import tensor as T
+from mhnes import nn, tensor as T
 from mhnes.dirichlet import sample_simplex_rows
-from mhnes.space import ModelSpec, sample_random_genotype
+from mhnes.space import (
+    ModelSpec,
+    NodeChoice,
+    genotype_from_spec,
+    sample_random_genotype,
+)
 from mhnes.supernet import (
     ArchParams,
     DiscreteNetwork,
@@ -184,6 +189,75 @@ class TestSupernetForward:
         net, _ = self._net()
         with pytest.raises(ValueError, match="genotype"):
             net(Tensor(np.zeros((1, 1, 16, 16))), mode="sampled")
+
+
+# state_arrays() keys of the default DiscreteNetwork of ``test_norm_policy``,
+# in the order that sets the bytes of weights.npz (recorded before norm
+# tracking moved into DiscreteNetwork)
+TRACKED_KEYS = [
+    "backbone.stem.weight",
+    "backbone.stem_norm.running_mean",
+    "backbone.stem_norm.running_var",
+    "backbone.blocks.0.conv1.weight",
+    "backbone.blocks.0.n1.running_mean",
+    "backbone.blocks.0.n1.running_var",
+    "backbone.blocks.0.conv2.weight",
+    "backbone.blocks.0.n2.running_mean",
+    "backbone.blocks.0.n2.running_var",
+    "backbone.blocks.0.shortcut.weight",
+    "backbone.blocks.1.conv1.weight",
+    "backbone.blocks.1.n1.running_mean",
+    "backbone.blocks.1.n1.running_var",
+    "backbone.blocks.1.conv2.weight",
+    "backbone.blocks.1.n2.running_mean",
+    "backbone.blocks.1.n2.running_var",
+    "backbone.blocks.1.shortcut.weight",
+    "heads.0.cells.0.pre.0.conv.weight",
+    "heads.0.cells.0.pre.0.norm.running_mean",
+    "heads.0.cells.0.pre.0.norm.running_var",
+    "heads.0.cells.0.pre.1.conv.weight",
+    "heads.0.cells.0.pre.1.norm.running_mean",
+    "heads.0.cells.0.pre.1.norm.running_var",
+    "heads.0.cells.0.edges.0.ops.0.dw1.weight",
+    "heads.0.cells.0.edges.0.ops.0.pw1.weight",
+    "heads.0.cells.0.edges.0.ops.0.n1.running_mean",
+    "heads.0.cells.0.edges.0.ops.0.n1.running_var",
+    "heads.0.cells.0.edges.0.ops.0.dw2.weight",
+    "heads.0.cells.0.edges.0.ops.0.pw2.weight",
+    "heads.0.cells.0.edges.0.ops.0.n2.running_mean",
+    "heads.0.cells.0.edges.0.ops.0.n2.running_var",
+    "heads.0.cells.0.edges.1.ops.0.dw.weight",
+    "heads.0.cells.0.edges.1.ops.0.pw.weight",
+    "heads.0.cells.0.edges.1.ops.0.n.running_mean",
+    "heads.0.cells.0.edges.1.ops.0.n.running_var",
+    "heads.0.classifier.weight",
+    "heads.0.classifier.bias",
+]
+
+
+def test_norm_policy():
+    """Supernet norms use batch statistics; a DiscreteNetwork's norms track
+    running statistics unless built with track=False."""
+    sup = Supernet(np.random.default_rng(0), SMALL,
+                   ArchParams(SMALL, "plain", np.random.default_rng(0)))
+    norms = [m for _, m in sup.modules() if isinstance(m, nn.Norm)]
+    assert norms and not any(m.track for m in norms)
+    spec = ModelSpec(num_classes=2, num_heads=1, cells_per_head=1, nodes=1,
+                     ops=("skip_connect", "sep_conv_3x3", "dil_conv_3x3"),
+                     backbone_width=4, head_width=4)
+    geno = genotype_from_spec(
+        spec, [[NodeChoice(0, (0, 1), ("sep_conv_3x3", "dil_conv_3x3"))]]
+    )
+    net = DiscreteNetwork(np.random.default_rng(0), geno, 2)
+    assert list(net.state_arrays()) == TRACKED_KEYS
+    norm_prefixes = [p for p, m in net.modules() if isinstance(m, nn.Norm)]
+    assert len(norm_prefixes) == 10
+    for p in norm_prefixes:
+        assert {p + "running_mean", p + "running_var"} <= set(TRACKED_KEYS)
+    untracked = DiscreteNetwork(np.random.default_rng(0), geno, 2, track=False)
+    assert list(untracked.state_arrays()) == [
+        k for k in TRACKED_KEYS if not k.endswith(("running_mean", "running_var"))
+    ]
 
 
 class TestDiscretize:
