@@ -22,8 +22,7 @@ def config_for(method, out_root, args):
                 "n_train": args.n_train, "n_val": 400, "n_test": 400,
             },
             "model": {
-                "num_classes": 4, "num_heads": args.heads,
-                "cells_per_head": 2, "nodes": 4,
+                "num_heads": args.heads, "cells_per_head": 2, "nodes": 4,
                 "backbone_width": 8, "head_width": 8,
             },
             "search": {
@@ -42,7 +41,7 @@ def config_for(method, out_root, args):
     )
 
 
-def main():
+def parser():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument(
         "--methods",
@@ -56,7 +55,11 @@ def main():
     ap.add_argument("--train-epochs", type=int, default=12)
     ap.add_argument("--pool-size", type=int, default=8)
     ap.add_argument("--out", default="runs/comparison")
-    args = ap.parse_args()
+    return ap
+
+
+def main():
+    args = parser().parse_args()
 
     csvs = []
     for method in args.methods.split(","):

@@ -40,7 +40,7 @@ def main():
         classes=4, n_train=2000, n_val=500, n_test=500, image_size=16, seed=0
     )
     spec = ModelSpec(
-        num_classes=4, num_heads=args.heads, cells_per_head=1, nodes=4,
+        num_heads=args.heads, cells_per_head=1, nodes=4,
         ops=("skip_connect", "batch_mix_a"), backbone_width=8, head_width=8,
     )
     setups = {

@@ -26,8 +26,7 @@ def main():
         classes=4, n_train=384, n_val=192, n_test=192, image_size=16, seed=11
     )
     spec = ModelSpec(
-        num_classes=4, num_heads=1, cells_per_head=1, nodes=4,
-        backbone_width=8, head_width=8,
+        num_heads=1, cells_per_head=1, nodes=4, backbone_width=8, head_width=8,
     )
     m_list = [int(m) for m in args.m_list.split(",")]
     study = regret_study(

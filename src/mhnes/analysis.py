@@ -17,6 +17,7 @@ import numpy as np
 from . import losses, metrics
 from .search import loss_backward, rng_for, train_discrete
 from .space import ModelSpec, hamming, sample_random_genotype
+from .tensor import frozen
 
 
 def hvp_fd(grad_fn, point, v, eps=None):
@@ -79,17 +80,11 @@ def arch_loss_grad_fn(net, arch, val_x, val_y, jsd_weight):
         arch.set_flat(vec)
         for t in arch.tensors():
             t.grad = None
-        weights = net.parameters()
-        for w in weights:
-            w.requires_grad = False
-        try:
+        with frozen(net.parameters()):
             loss_backward(
                 net, lambda p, avg, y: losses.arch_val_loss(p, avg, y, jsd_weight),
                 val_x, val_y, mode="continuous",
             )
-        finally:
-            for w in weights:
-                w.requires_grad = True
         return np.concatenate(
             [
                 (t.grad if t.grad is not None else np.zeros_like(t.data)).reshape(-1)

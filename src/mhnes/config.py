@@ -88,7 +88,6 @@ class DataSpec:
 
 
 def _validate_model(spec: ModelSpec):
-    _check(spec.num_classes >= 2, "model.num_classes", "must be >= 2")
     _check(len(spec.ops) >= 1, "model.ops", "must name at least one operation")
     for op in spec.ops:
         _check(op in OP_BUILDERS, "model.ops", f"unknown operation {op!r}")
@@ -179,7 +178,16 @@ class ExperimentConfig:
     pool_size: int = 25  # sample budget of random-search baselines
 
     def validate(self):
-        """Type-check every field by the JSON rules, then check ranges."""
+        """Type-check every field by the JSON rules, then check ranges.
+
+        ``to_dict`` turns each section into a dict, so a section is first
+        checked to be an instance of its dataclass.
+        """
+        for name, cls in typing.get_type_hints(ExperimentConfig).items():
+            value = getattr(self, name)
+            if dataclasses.is_dataclass(cls):
+                _check(isinstance(value, cls), f"config.{name}",
+                       f"expected {cls.__name__}, got {value!r}")
         _parse(self.to_dict(), ExperimentConfig, "config", seq=tuple)
         _check(
             self.method in METHODS,
@@ -193,11 +201,6 @@ class ExperimentConfig:
         _check(len(self.seeds) >= 1, "seeds", "must list at least one seed")
         _check(min(self.seeds) >= 0, "seeds", "must be non-negative integers")
         _check(self.pool_size >= 1, "pool_size", "must be >= 1")
-        _check(
-            self.model.num_classes == self.data.classes,
-            "model.num_classes",
-            f"{self.model.num_classes} does not match data.classes {self.data.classes}",
-        )
         for name in ("partial_k", "drnas_stage2_k"):
             k = getattr(self.search, name)
             _check(self.model.head_width % k == 0, f"search.{name}",

@@ -41,7 +41,7 @@ class Ensemble:
 
     @property
     def num_members(self):
-        return sum(m.genotype.num_heads for m in self.models)
+        return sum(m.genotype.spec.num_heads for m in self.models)
 
 
 def forward_select(val_probs, labels, num_members):

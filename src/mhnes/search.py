@@ -23,7 +23,7 @@ from .config import SearchHyperparams, TrainHyperparams
 from .optim import SGD, Adam, cosine_lr
 from .space import ModelSpec, MultiHeadGenotype, sample_random_genotype
 from .supernet import ArchParams, DiscreteNetwork, Supernet, discretize
-from .tensor import Tape, Tensor, backward
+from .tensor import Tape, Tensor, backward, frozen
 
 
 @dataclass
@@ -109,16 +109,19 @@ def _check_finite(phase, epoch, step, *values):
 def bilevel_search_step(net, arch, w_opt, a_opt, train_batch, val_batch, hp, lr,
                         warm, sample_rng=None):
     """One alternation: architecture Adam step (skipped during warmstart),
-    then a weight SGD step. Returns the two loss values; the weight loss is
-    ``None`` when the architecture update left a non-finite parameter, since
-    the weight step would run on it (the caller fails the step)."""
+    then a weight SGD step. The architecture step runs with the supernet
+    weights frozen, so its backward builds only architecture gradients.
+    Returns the two loss values; the weight loss is ``None`` when the
+    architecture update left a non-finite parameter, since the weight step
+    would run on it (the caller fails the step)."""
     a_loss = None
     if not warm:
-        a_loss = _train_step(
-            net, a_opt,
-            lambda p, avg, y: losses.arch_val_loss(p, avg, y, hp.jsd_weight),
-            *val_batch, mode="continuous", rng=sample_rng,
-        )
+        with frozen(net.parameters()):
+            a_loss = _train_step(
+                net, a_opt,
+                lambda p, avg, y: losses.arch_val_loss(p, avg, y, hp.jsd_weight),
+                *val_batch, mode="continuous", rng=sample_rng,
+            )
         arch.clamp()
         if not np.isfinite(arch.flat()).all():
             return a_loss, None
@@ -195,7 +198,7 @@ def pcdarts_search(bundle, spec: ModelSpec, hp: SearchHyperparams, seed,
     rng = rng_for(seed, "pcdarts")
     split = _split_search_data(bundle, hp, rng)
     arch = ArchParams(spec, "pcdarts", rng)
-    net = Supernet(rng, spec, arch, k=hp.partial_k)
+    net = Supernet(rng, spec, arch, bundle.classes, k=hp.partial_k)
     budget = Budget()
     steps = _run_bilevel_phase(
         net, arch, hp, hp.epochs, hp.warmstart_epochs, split, rng,
@@ -229,7 +232,7 @@ def drnas_search(bundle, spec: ModelSpec, hp: SearchHyperparams, seed,
     budget = Budget()
 
     arch = ArchParams(spec, "drnas", rng)
-    net = Supernet(rng, spec, arch, k=hp.partial_k)
+    net = Supernet(rng, spec, arch, bundle.classes, k=hp.partial_k)
     steps = _run_bilevel_phase(
         net, arch, hp, hp.drnas_stage_epochs, hp.drnas_warmstart_epochs, split,
         rng, sample_rng=sample_rng, epoch_hook=epoch_hook, phase="search_stage1",
@@ -240,7 +243,7 @@ def drnas_search(bundle, spec: ModelSpec, hp: SearchHyperparams, seed,
     arch2 = ArchParams(spec, "drnas", rng, head_ops=head_ops)
     for h in range(spec.num_heads):
         arch2.alpha[h].data[...] = arch.alpha[h].data[:, cols[h]]
-    net2 = Supernet(rng, spec, arch2, k=hp.drnas_stage2_k)
+    net2 = Supernet(rng, spec, arch2, bundle.classes, k=hp.drnas_stage2_k)
     steps = _run_bilevel_phase(
         net2, arch2, hp, hp.drnas_stage_epochs, hp.drnas_warmstart_epochs, split,
         rng, sample_rng=sample_rng, epoch_hook=epoch_hook, phase="search_stage2",
@@ -286,7 +289,7 @@ def randomnas_search(bundle, spec: ModelSpec, hp: SearchHyperparams, seed,
     rng = rng_for(seed, "randomnas")
     (tr_x, tr_y), (va_x, va_y) = _split_search_data(bundle, hp, rng)
     arch = ArchParams(spec, "plain", rng)
-    net = Supernet(rng, spec, arch, k=1)
+    net = Supernet(rng, spec, arch, bundle.classes, k=1)
     w_opt = SGD(
         net.parameters(),
         lr=hp.weight_lr,

@@ -36,7 +36,6 @@ DEFAULT_OPS = (
 class ModelSpec:
     """Shape of the multi-headed model and its head search space."""
 
-    num_classes: int = 4
     num_heads: int = 3
     cells_per_head: int = 3
     nodes: int = 4
@@ -72,23 +71,21 @@ class NodeChoice:
 
 @dataclass(frozen=True)
 class MultiHeadGenotype:
-    """Discrete architecture of all heads plus the model shape it targets."""
+    """Discrete architecture of all heads plus the model shape it targets.
 
-    num_heads: int
-    cells_per_head: int
-    nodes: int
-    ops: tuple
-    head_width: int
-    backbone_layers: int
-    backbone_width: int
-    heads: tuple  # per head: tuple of NodeChoice
+    ``heads`` holds one tuple of ``NodeChoice`` per head.
+    """
+
+    spec: ModelSpec
+    heads: tuple
 
     def validate(self):
-        if len(self.heads) != self.num_heads:
-            raise ValueError(f"genotype: {len(self.heads)} heads != M={self.num_heads}")
+        spec = self.spec
+        if len(self.heads) != spec.num_heads:
+            raise ValueError(f"genotype: {len(self.heads)} heads != M={spec.num_heads}")
         for h, cell in enumerate(self.heads):
-            if len(cell) != self.nodes:
-                raise ValueError(f"genotype head {h}: {len(cell)} nodes != {self.nodes}")
+            if len(cell) != spec.nodes:
+                raise ValueError(f"genotype head {h}: {len(cell)} nodes != {spec.nodes}")
             for choice in cell:
                 i1, i2 = choice.inputs
                 if not (0 <= i1 < i2 < choice.node + 2):
@@ -97,20 +94,21 @@ class MultiHeadGenotype:
                         "must be distinct, ascending, and earlier than the node"
                     )
                 for op in choice.ops:
-                    if op not in self.ops:
+                    if op not in spec.ops:
                         raise ValueError(
                             f"genotype head {h} node {choice.node}: unknown op {op!r}"
                         )
         return self
 
     def to_dict(self):
+        spec = self.spec
         return {
             "spec": {
-                "M": self.num_heads,
-                "L": self.cells_per_head,
-                "nodes": self.nodes,
-                "ops": list(self.ops),
-                "head_width": self.head_width,
+                "M": spec.num_heads,
+                "L": spec.cells_per_head,
+                "nodes": spec.nodes,
+                "ops": list(spec.ops),
+                "head_width": spec.head_width,
             },
             "heads": [
                 [
@@ -124,8 +122,8 @@ class MultiHeadGenotype:
                 for cell in self.heads
             ],
             "backbone": {
-                "layers": self.backbone_layers,
-                "width": self.backbone_width,
+                "layers": spec.backbone_layers,
+                "width": spec.backbone_width,
             },
         }
 
@@ -140,33 +138,22 @@ class MultiHeadGenotype:
             for cell in d["heads"]
         )
         return cls(
-            num_heads=spec["M"],
-            cells_per_head=spec["L"],
-            nodes=spec["nodes"],
-            ops=tuple(spec["ops"]),
-            head_width=spec["head_width"],
-            backbone_layers=d["backbone"]["layers"],
-            backbone_width=d["backbone"]["width"],
-            heads=heads,
+            ModelSpec(
+                num_heads=spec["M"],
+                cells_per_head=spec["L"],
+                nodes=spec["nodes"],
+                ops=tuple(spec["ops"]),
+                backbone_layers=d["backbone"]["layers"],
+                backbone_width=d["backbone"]["width"],
+                head_width=spec["head_width"],
+            ),
+            heads,
         ).validate()
 
     def save(self, path):
         Path(path).write_text(
             json.dumps(self.to_dict(), indent=1, sort_keys=True) + "\n"
         )
-
-
-def genotype_from_spec(spec: ModelSpec, heads):
-    return MultiHeadGenotype(
-        num_heads=spec.num_heads,
-        cells_per_head=spec.cells_per_head,
-        nodes=spec.nodes,
-        ops=tuple(spec.ops),
-        head_width=spec.head_width,
-        backbone_layers=spec.backbone_layers,
-        backbone_width=spec.backbone_width,
-        heads=tuple(tuple(h) for h in heads),
-    ).validate()
 
 
 def sample_random_genotype(spec: ModelSpec, rng) -> MultiHeadGenotype:
@@ -179,7 +166,7 @@ def sample_random_genotype(spec: ModelSpec, rng) -> MultiHeadGenotype:
             ops = tuple(spec.ops[rng.integers(len(spec.ops))] for _ in inputs)
             cell.append(NodeChoice(j, tuple(inputs), ops))
         heads.append(tuple(cell))
-    return genotype_from_spec(spec, heads)
+    return MultiHeadGenotype(spec, tuple(heads)).validate()
 
 
 def genotype_edge_vector(g: MultiHeadGenotype):
@@ -193,11 +180,9 @@ def genotype_edge_vector(g: MultiHeadGenotype):
 
 
 def hamming(a: MultiHeadGenotype, b: MultiHeadGenotype) -> int:
-    if (a.num_heads, a.nodes, a.ops) != (b.num_heads, b.nodes, b.ops):
-        raise ValueError(
-            "hamming: genotype specs differ: "
-            f"{(a.num_heads, a.nodes, a.ops)} vs {(b.num_heads, b.nodes, b.ops)}"
-        )
+    shape_a, shape_b = ((g.spec.num_heads, g.spec.nodes, g.spec.ops) for g in (a, b))
+    if shape_a != shape_b:
+        raise ValueError(f"hamming: genotype specs differ: {shape_a} vs {shape_b}")
     va, vb = genotype_edge_vector(a), genotype_edge_vector(b)
     return sum(1 for x, y in zip(va, vb) if x != y)
 

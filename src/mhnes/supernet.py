@@ -22,7 +22,7 @@ import numpy as np
 
 from . import nn, tensor as T
 from .dirichlet import row_normalize, sample_simplex_rows
-from .space import ModelSpec, MultiHeadGenotype, NodeChoice, build_op, genotype_from_spec
+from .space import ModelSpec, MultiHeadGenotype, NodeChoice, build_op
 from .tensor import Tensor
 
 ARCH_MODES = ("plain", "pcdarts", "drnas")
@@ -257,7 +257,7 @@ class Backbone(nn.Module):
 
 
 class _HeadStack(nn.Module):
-    def __init__(self, rng, spec, edge_ops, k):
+    def __init__(self, rng, spec, edge_ops, num_classes, k):
         super().__init__()
         c_in = spec.backbone_width
         cells = []
@@ -265,7 +265,7 @@ class _HeadStack(nn.Module):
             cells.append(MixedCell(rng, spec, edge_ops, c_in, ci == 0, k))
             c_in = spec.nodes * spec.head_width
         self.cells = nn.ModuleList(cells)
-        self.classifier = nn.Linear(rng, c_in, spec.num_classes)
+        self.classifier = nn.Linear(rng, c_in, num_classes)
 
     def forward(self, x, table=None, betas=None, cell_genotype=None, shared=None):
         """Class probabilities; ``shared`` goes to the first cell only, since
@@ -281,13 +281,14 @@ class _HeadStack(nn.Module):
 class Supernet(nn.Module):
     """Backbone + M mixed-operation heads driven by an ArchParams reference."""
 
-    def __init__(self, rng, spec: ModelSpec, arch: ArchParams, k=1):
+    def __init__(self, rng, spec: ModelSpec, arch: ArchParams, num_classes, k=1):
         super().__init__()
         self.arch = arch
         self.backbone = Backbone(rng, spec)
         self.heads = nn.ModuleList(
             [
-                _HeadStack(rng, spec, [arch.head_ops[h]] * spec.num_edges, k)
+                _HeadStack(rng, spec, [arch.head_ops[h]] * spec.num_edges,
+                           num_classes, k)
                 for h in range(spec.num_heads)
             ]
         )
@@ -387,20 +388,12 @@ class DiscreteNetwork(nn.Module):
         super().__init__()
         genotype.validate()
         self.genotype = genotype
-        spec = ModelSpec(
-            num_classes=num_classes,
-            num_heads=genotype.num_heads,
-            cells_per_head=genotype.cells_per_head,
-            nodes=genotype.nodes,
-            ops=genotype.ops,
-            backbone_layers=genotype.backbone_layers,
-            backbone_width=genotype.backbone_width,
-            head_width=genotype.head_width,
-        )
+        spec = genotype.spec
         self.backbone = Backbone(rng, spec)
         self.heads = nn.ModuleList(
             [
-                _HeadStack(rng, spec, _chosen_edge_ops(spec, cell_genotype), 1)
+                _HeadStack(rng, spec, _chosen_edge_ops(spec, cell_genotype),
+                           num_classes, 1)
                 for cell_genotype in genotype.heads
             ]
         )
@@ -465,11 +458,12 @@ def discretize(arch: ArchParams) -> MultiHeadGenotype:
                 )
             )
         heads.append(tuple(cell))
-    return genotype_from_spec(spec, heads)
+    return MultiHeadGenotype(spec, tuple(heads)).validate()
 
 
-def one_hot_arch(spec: ModelSpec, genotype: MultiHeadGenotype, margin=40.0) -> ArchParams:
+def one_hot_arch(genotype: MultiHeadGenotype, margin=40.0) -> ArchParams:
     """Embed a genotype as near-one-hot logits (chosen edges dominate)."""
+    spec = genotype.spec
     arch = ArchParams(spec, "plain", np.random.default_rng(0), init_scale=0.0)
     for h, cell in enumerate(genotype.heads):
         for choice in cell:

@@ -17,6 +17,7 @@ thread); independent models on different threads share nothing.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 
 import numpy as np
@@ -193,6 +194,22 @@ def backward(loss):
                 t.grad = gt if t.grad is None else t.grad + gt
             else:
                 flow[src] = gt if src not in flow else flow[src] + gt
+
+
+@contextlib.contextmanager
+def frozen(tensors):
+    """Clear ``requires_grad`` of ``tensors`` inside the block, so nothing
+    that reads only them is recorded and ``backward`` builds no gradient for
+    them; each flag is restored on exit."""
+    tensors = list(tensors)
+    flags = [t.requires_grad for t in tensors]
+    for t in tensors:
+        t.requires_grad = False
+    try:
+        yield
+    finally:
+        for t, flag in zip(tensors, flags):
+            t.requires_grad = flag
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 _EDGE_OP_KEY = re.compile(r"(heads\.(\d+)\.cells\.\d+\.edges\.(\d+)\.ops\.)(\d+)(\..*)")
 
 
-def supernet_as_discrete_arrays(sup, spec, geno):
+def supernet_as_discrete_arrays(sup, geno):
     """Map supernet parameters onto the matching DiscreteNetwork state dict.
 
     Both networks are built from the same head module, so every key lines
@@ -18,6 +18,7 @@ def supernet_as_discrete_arrays(sup, spec, geno):
     network, and ops that were not chosen are dropped (k=1 supernet,
     track=False discrete norms).
     """
+    spec = geno.spec
     chosen = set()
     for h, cell in enumerate(geno.heads):
         for choice in cell:

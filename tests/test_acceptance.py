@@ -203,15 +203,15 @@ def test_one_hot_consistency():
         assert np.abs(mixed - direct).max() < 1e-8
 
     spec = ModelSpec(
-        num_classes=4, num_heads=2, cells_per_head=2, nodes=3,
+        num_heads=2, cells_per_head=2, nodes=3,
         backbone_width=8, head_width=8,
     )
     rng = np.random.default_rng(21)
     geno = sample_random_genotype(spec, rng)
-    arch = one_hot_arch(spec, geno, margin=40.0)
-    sup = Supernet(np.random.default_rng(22), spec, arch, k=1)
+    arch = one_hot_arch(geno, margin=40.0)
+    sup = Supernet(np.random.default_rng(22), spec, arch, 4, k=1)
     net = DiscreteNetwork(np.random.default_rng(23), geno, 4, track=False)
-    net.load_state_arrays(supernet_as_discrete_arrays(sup, spec, geno))
+    net.load_state_arrays(supernet_as_discrete_arrays(sup, geno))
     from mhnes.supernet import discretize
 
     assert discretize(arch) == geno
@@ -386,7 +386,7 @@ PLANTED_DATA = dict(
     classes=4, n_train=2000, n_val=500, n_test=500, image_size=16, seed=0
 )
 PLANTED_SPEC = ModelSpec(
-    num_classes=4, num_heads=1, cells_per_head=1, nodes=4,
+    num_heads=1, cells_per_head=1, nodes=4,
     ops=("skip_connect", "batch_mix_a"), backbone_width=8, head_width=8,
 )
 PLANTED_TRAIN = TrainHyperparams(epochs=5, batch=128)
@@ -471,7 +471,7 @@ def test_variance_collapse_trend():
         classes=4, n_train=384, n_val=192, n_test=192, image_size=16, seed=11
     )
     spec = ModelSpec(
-        num_classes=4, num_heads=1, cells_per_head=1, nodes=4,
+        num_heads=1, cells_per_head=1, nodes=4,
         backbone_width=8, head_width=8,
     )
     hp = TrainHyperparams(epochs=3, batch=128, lr=0.1)
@@ -514,7 +514,7 @@ def test_run_determinism(tmp_path):
             "n_train": 96, "n_val": 48, "n_test": 48, "seed": 2,
         },
         "model": {
-            "num_classes": 3, "num_heads": 2, "cells_per_head": 1, "nodes": 2,
+            "num_heads": 2, "cells_per_head": 1, "nodes": 2,
             "ops": ["skip_connect", "max_pool_3x3", "avg_pool_3x3"],
             "backbone_width": 8, "head_width": 8,
         },

@@ -119,7 +119,7 @@ class TestEigTraceHook:
             classes=3, n_train=96, n_val=48, n_test=48, image_size=16, seed=4
         )
         spec = ModelSpec(
-            num_classes=3, num_heads=1, cells_per_head=1, nodes=2,
+            num_heads=1, cells_per_head=1, nodes=2,
             ops=("skip_connect", "max_pool_3x3", "avg_pool_3x3"),
             backbone_width=8, head_width=8,
         )
@@ -142,7 +142,7 @@ class TestEigTraceHook:
             classes=3, n_train=64, n_val=16, n_test=16, image_size=16, seed=4
         )
         spec = ModelSpec(
-            num_classes=3, num_heads=1, cells_per_head=1, nodes=1,
+            num_heads=1, cells_per_head=1, nodes=1,
             ops=("skip_connect", "avg_pool_3x3"), backbone_width=4, head_width=4,
         )
         hp = SearchHyperparams(
@@ -171,13 +171,13 @@ class TestEigTraceHook:
 
     def test_probe_gradient_leaves_weights_untouched(self):
         spec = ModelSpec(
-            num_classes=3, num_heads=2, cells_per_head=1, nodes=2,
+            num_heads=2, cells_per_head=1, nodes=2,
             ops=("skip_connect", "sep_conv_3x3", "avg_pool_3x3"),
             backbone_width=8, head_width=8,
         )
         rng = np.random.default_rng(0)
         arch = ArchParams(spec, "pcdarts", rng, init_scale=0.3)
-        net = Supernet(rng, spec, arch, k=2)
+        net = Supernet(rng, spec, arch, 3, k=2)
         bundle = gen_synthetic(
             classes=3, n_train=16, n_val=16, n_test=16, image_size=16, seed=1
         )
@@ -194,7 +194,7 @@ def study():
         classes=3, n_train=96, n_val=64, n_test=48, image_size=16, seed=6
     )
     spec = ModelSpec(
-        num_classes=3, num_heads=1, cells_per_head=1, nodes=2,
+        num_heads=1, cells_per_head=1, nodes=2,
         ops=("skip_connect", "max_pool_3x3", "avg_pool_3x3"),
         backbone_width=8, head_width=8,
     )
@@ -222,7 +222,7 @@ class TestRegretStudy:
             classes=3, n_train=64, n_val=32, n_test=32, image_size=16, seed=7
         )
         spec = ModelSpec(
-            num_classes=3, num_heads=1, cells_per_head=1, nodes=2,
+            num_heads=1, cells_per_head=1, nodes=2,
             ops=("skip_connect", "avg_pool_3x3"), backbone_width=8, head_width=8,
         )
         hp = TrainHyperparams(epochs=1, batch=32)

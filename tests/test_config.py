@@ -70,6 +70,8 @@ class TestValidation:
             ExperimentConfig.from_dict({"search": {"lr": 0.1}})
         with pytest.raises(ConfigError, match=r"model\.in_channels"):
             ExperimentConfig.from_dict({"model": {"in_channels": 1}})
+        with pytest.raises(ConfigError, match=r"model\.num_classes: unknown field"):
+            ExperimentConfig.from_dict({"model": {"num_classes": 4}})
 
     def test_out_of_range_names_path(self):
         with pytest.raises(ConfigError, match=r"search\.batch"):
@@ -120,6 +122,17 @@ class TestValidation:
         with pytest.raises(ConfigError, match=error.split(":")[0]):
             runner.run(dataclasses.replace(cfg, out_dir=str(out)))
         assert not out.exists()
+
+    @pytest.mark.parametrize("section", ["data", "model", "search", "train"])
+    def test_hand_built_plain_dict_section_rejected(self, section):
+        typed = getattr(ExperimentConfig(), section)
+        value = dataclasses.asdict(typed)
+        cfg = dataclasses.replace(ExperimentConfig(), **{section: value})
+        with pytest.raises(ConfigError) as exc:
+            cfg.validate()
+        assert str(exc.value) == (
+            f"config.{section}: expected {type(typed).__name__}, got {value!r}"
+        )
 
     def test_ints_accepted_unconverted_in_float_fields(self):
         cfg = ExperimentConfig.from_dict({"train": {"lr": 1}, "data": {"noise_std": 0}})

@@ -95,7 +95,7 @@ def tiny_task():
         classes=3, n_train=96, n_val=48, n_test=48, image_size=16, seed=2
     )
     spec = ModelSpec(
-        num_classes=3, num_heads=2, cells_per_head=1, nodes=2,
+        num_heads=2, cells_per_head=1, nodes=2,
         ops=("skip_connect", "max_pool_3x3", "avg_pool_3x3"),
         backbone_width=8, head_width=8,
     )

@@ -20,7 +20,7 @@ def tiny_config_dict(method="mhe_sample", out="runs/x", seeds=(0, 1)):
             "n_train": 96, "n_val": 48, "n_test": 48, "seed": 1,
         },
         "model": {
-            "num_classes": 3, "num_heads": 2, "cells_per_head": 1, "nodes": 2,
+            "num_heads": 2, "cells_per_head": 1, "nodes": 2,
             "ops": ["skip_connect", "max_pool_3x3", "avg_pool_3x3"],
             "backbone_width": 8, "head_width": 8,
         },
@@ -180,18 +180,23 @@ class TestRunArtifacts:
         assert manifest["error"].startswith("ValueError: search split of n_train=3")
         assert "0 validation examples" in manifest["error"]
 
-    def test_mismatched_classes_rejected(self, tmp_path):
+    def test_mismatched_classes_rejected(self, tmp_path, capsys):
+        # data.classes alone states the class count; a model class count is
+        # an unknown field, and the run writes nothing
         d = tiny_config_dict(out=str(tmp_path / "m"))
         d["model"]["num_classes"] = 4
-        d["data"]["classes"] = 3
-        with pytest.raises(ConfigError, match="num_classes"):
+        with pytest.raises(ConfigError,
+                           match=r"^config\.model\.num_classes: unknown field$"):
             ExperimentConfig.from_dict(d)
+        (tmp_path / "c.json").write_text(json.dumps(d))
+        assert cli.main(["search", "--config", str(tmp_path / "c.json")]) == 1
+        assert "config.model.num_classes: unknown field" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
 
     def test_stored_dataset_with_other_class_count_rejected(self, tmp_path):
         data = tmp_path / "d.bin"
         save_bundle(gen_synthetic(classes=3, n_train=8, n_val=4, n_test=4), data)
         d = tiny_config_dict(out=str(tmp_path / "m"))
-        d["model"]["num_classes"] = 4
         d["data"] = {"classes": 4, "path": str(data)}
         cfg = ExperimentConfig.from_dict(d)
         with pytest.raises(ConfigError, match="provides 3 classes"):
@@ -271,7 +276,7 @@ class TestCli:
         if command == "eval":
             argv += ["--weights", str(weights)]
         assert cli.main(argv) == 1
-        assert "num_classes" in capsys.readouterr().err
+        assert "config.model.num_classes: unknown field" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_train_rejects_stored_dataset_with_other_class_count(

@@ -227,13 +227,13 @@ class TestApplyShift:
         from mhnes import search
         from mhnes.config import TrainHyperparams
         from mhnes.data import gen_synthetic
-        from mhnes.space import ModelSpec, NodeChoice, genotype_from_spec
+        from mhnes.space import ModelSpec, MultiHeadGenotype, NodeChoice
 
         bundle = gen_synthetic(
             classes=4, n_train=768, n_val=256, n_test=512, image_size=16, seed=3
         )
         spec = ModelSpec(
-            num_classes=4, num_heads=2, cells_per_head=1, nodes=2,
+            num_heads=2, cells_per_head=1, nodes=2,
             ops=("skip_connect", "avg_pool_3x3"), backbone_width=8, head_width=8,
         )
         heads = tuple(
@@ -243,7 +243,7 @@ class TestApplyShift:
             )
             for _ in range(2)
         )
-        geno = genotype_from_spec(spec, heads)
+        geno = MultiHeadGenotype(spec, heads).validate()
         model, _ = search.train_discrete(
             geno, bundle, TrainHyperparams(epochs=10, batch=128), seed=0
         )

@@ -1,4 +1,6 @@
-"""Experiment scripts: each imports, and every mhnes name it reads exists."""
+"""Experiment scripts: each imports, every mhnes name it reads exists, every
+keyword it passes to an mhnes class is a parameter of it, and the configs
+it builds validate."""
 
 import ast
 import importlib.util
@@ -7,7 +9,10 @@ from pathlib import Path
 
 import pytest
 
-SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
+from mhnes.config import METHODS
+
+SCRIPT_DIR = Path(__file__).resolve().parent.parent / "scripts"
+SCRIPTS = sorted(SCRIPT_DIR.glob("*.py"))
 
 
 def _from_mhnes(obj):
@@ -16,15 +21,20 @@ def _from_mhnes(obj):
     return inspect.isclass(obj) and obj.__module__.startswith("mhnes")
 
 
+def _load(path):
+    spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # main() stays behind the __main__ guard
+    return module
+
+
 def test_scripts_found():
     assert SCRIPTS
 
 
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
 def test_script_imports_and_reads_existing_names(path):
-    spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)  # main() stays behind the __main__ guard
+    module = _load(path)
     assert callable(module.main)
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
@@ -33,3 +43,20 @@ def test_script_imports_and_reads_existing_names(path):
                 assert hasattr(owner, node.attr), (
                     f"{path.name}: {node.value.id}.{node.attr} does not exist"
                 )
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            cls = getattr(module, node.func.id, None)
+            if _from_mhnes(cls):
+                params = inspect.signature(cls).parameters
+                for kw in node.keywords:
+                    assert kw.arg is None or kw.arg in params, (
+                        f"{path.name}: {node.func.id}({kw.arg}=...) is no parameter"
+                    )
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_method_comparison_config_validates(tmp_path, method):
+    module = _load(SCRIPT_DIR / "method_comparison.py")
+    defaults = module.parser().parse_args([])
+    cfg = module.config_for(method, tmp_path, defaults)
+    assert cfg.method == method
+    assert not any(tmp_path.iterdir())

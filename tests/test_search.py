@@ -31,7 +31,6 @@ def bundle():
 
 
 TINY = ModelSpec(
-    num_classes=3,
     num_heads=2,
     cells_per_head=1,
     nodes=2,
@@ -57,7 +56,7 @@ class TestWarmstart:
     def test_arch_params_bit_identical_during_warmstart(self, bundle):
         rng = search.rng_for(0, "warmtest")
         arch = ArchParams(TINY, "pcdarts", rng)
-        net = Supernet(rng, TINY, arch, k=2)
+        net = Supernet(rng, TINY, arch, 3, k=2)
         before = arch.flat()
         split = search._split_search_data(bundle, FAST_HP, rng)
         search._run_bilevel_phase(net, arch, FAST_HP, 1, 1, split, rng)
@@ -66,7 +65,7 @@ class TestWarmstart:
     def test_arch_moves_after_warmstart(self, bundle):
         rng = search.rng_for(0, "warmtest2")
         arch = ArchParams(TINY, "pcdarts", rng)
-        net = Supernet(rng, TINY, arch, k=2)
+        net = Supernet(rng, TINY, arch, 3, k=2)
         before = arch.flat()
         split = search._split_search_data(bundle, FAST_HP, rng)
         search._run_bilevel_phase(net, arch, FAST_HP, 1, 0, split, rng)
@@ -74,15 +73,34 @@ class TestWarmstart:
 
 
 class TestBilevelGradients:
+    def test_arch_step_freezes_the_weights(self, bundle, monkeypatch):
+        rng = search.rng_for(0, "freezetest")
+        arch = ArchParams(TINY, "pcdarts", rng)
+        net = Supernet(rng, TINY, arch, 3, k=2)
+        weights = net.parameters()
+        seen = []
+        arch_val_loss = losses.arch_val_loss
+
+        def recording(*args, **kwargs):
+            seen.append({w.requires_grad for w in weights})
+            return arch_val_loss(*args, **kwargs)
+
+        monkeypatch.setattr(losses, "arch_val_loss", recording)
+        split = search._split_search_data(bundle, FAST_HP, rng)
+        steps = search._run_bilevel_phase(net, arch, FAST_HP, 1, 0, split, rng)
+        assert len(seen) == steps >= 1
+        assert all(flags == {False} for flags in seen)
+        assert all(w.requires_grad for w in weights)
+
     def test_arch_gradient_matches_finite_difference(self, bundle):
         spec = ModelSpec(
-            num_classes=3, num_heads=1, cells_per_head=1, nodes=1,
+            num_heads=1, cells_per_head=1, nodes=1,
             ops=("skip_connect", "avg_pool_3x3", "max_pool_3x3"),
             backbone_width=4, head_width=4,
         )
         rng = np.random.default_rng(3)
         arch = ArchParams(spec, "pcdarts", rng, init_scale=0.3)
-        net = Supernet(rng, spec, arch, k=2)
+        net = Supernet(rng, spec, arch, 3, k=2)
         x, y = bundle.split("val")
         x, y = x[:6], y[:6]
 
@@ -101,16 +119,16 @@ class TestBilevelGradients:
         # nodes=1 keeps every DAG edge in the genotype, so the one-hot
         # supernet mixture and the standalone network compute the same graph
         spec = ModelSpec(
-            num_classes=3, num_heads=1, cells_per_head=2, nodes=1,
+            num_heads=1, cells_per_head=2, nodes=1,
             ops=("skip_connect", "max_pool_3x3", "avg_pool_3x3"),
             backbone_width=8, head_width=8,
         )
         rng = np.random.default_rng(11)
         geno = sample_random_genotype(spec, rng)
-        arch = one_hot_arch(spec, geno, margin=40.0)
-        sup = Supernet(np.random.default_rng(12), spec, arch, k=1)
+        arch = one_hot_arch(geno, margin=40.0)
+        sup = Supernet(np.random.default_rng(12), spec, arch, 3, k=1)
         net = DiscreteNetwork(np.random.default_rng(13), geno, 3, track=False)
-        net.load_state_arrays(supernet_as_discrete_arrays(sup, spec, geno))
+        net.load_state_arrays(supernet_as_discrete_arrays(sup, geno))
 
         x, y = bundle.split("train")
         batches = [slice(i * 16, (i + 1) * 16) for i in range(5)]
@@ -191,7 +209,7 @@ class TestPcdarts:
 class TestDrnas:
     def test_stage_two_prunes_to_keep_ops_subset(self, bundle):
         spec = ModelSpec(
-            num_classes=3, num_heads=2, cells_per_head=1, nodes=2,
+            num_heads=2, cells_per_head=1, nodes=2,
             backbone_width=8, head_width=8,  # default 7-op set
         )
         hp = SearchHyperparams(
@@ -270,16 +288,16 @@ class TestSharedScoring:
     """``genotype_val_nll`` scores a list of genotypes in one discrete pass."""
 
     SPEC = ModelSpec(
-        num_classes=3, num_heads=2, cells_per_head=2, nodes=3,
+        num_heads=2, cells_per_head=2, nodes=3,
         backbone_width=8, head_width=8,
     )
 
     def _setup(self, n=10):
         rng = np.random.default_rng(40)
-        net = Supernet(rng, self.SPEC, ArchParams(self.SPEC, "plain", rng), k=1)
+        net = Supernet(rng, self.SPEC, ArchParams(self.SPEC, "plain", rng), 3, k=1)
         genos = [sample_random_genotype(self.SPEC, rng) for _ in range(4)]
         x = rng.normal(size=(n, 1, 16, 16))
-        y = rng.integers(0, self.SPEC.num_classes, size=n)
+        y = rng.integers(0, 3, size=n)
         return net, genos, x, y
 
     @staticmethod

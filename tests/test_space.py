@@ -1,5 +1,6 @@
 """Search space: genotypes, sampling, distances, candidate op behavior."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -15,13 +16,65 @@ from mhnes.space import (
     NodeChoice,
     build_op,
     genotype_edge_vector,
-    genotype_from_spec,
     hamming,
     sample_random_genotype,
 )
 from mhnes.tensor import Tape, Tensor, backward
 
 SPEC = ModelSpec(num_heads=2, cells_per_head=2, head_width=8, backbone_width=8)
+
+# genotype.json of ``sample_random_genotype(PINNED_SPEC, default_rng(0))``,
+# byte for byte; every field of the spec has a distinct value
+PINNED_SPEC = ModelSpec(
+    num_heads=1, cells_per_head=3, nodes=2,
+    ops=("skip_connect", "max_pool_3x3", "avg_pool_3x3"),
+    backbone_layers=2, backbone_width=4, head_width=8,
+)
+PINNED_GENOTYPE_JSON = """\
+{
+ "backbone": {
+  "layers": 2,
+  "width": 4
+ },
+ "heads": [
+  [
+   {
+    "inputs": [
+     0,
+     1
+    ],
+    "node": 0,
+    "ops": [
+     "max_pool_3x3",
+     "skip_connect"
+    ]
+   },
+   {
+    "inputs": [
+     0,
+     2
+    ],
+    "node": 1,
+    "ops": [
+     "skip_connect",
+     "skip_connect"
+    ]
+   }
+  ]
+ ],
+ "spec": {
+  "L": 3,
+  "M": 1,
+  "head_width": 8,
+  "nodes": 2,
+  "ops": [
+   "skip_connect",
+   "max_pool_3x3",
+   "avg_pool_3x3"
+  ]
+ }
+}
+"""
 
 
 class TestModelSpec:
@@ -56,6 +109,19 @@ class TestGenotype:
         g = sample_random_genotype(SPEC, np.random.default_rng(seed))
         assert MultiHeadGenotype.from_dict(json.loads(json.dumps(g.to_dict()))) == g
 
+    def test_file_bytes_are_pinned(self, tmp_path):
+        g = sample_random_genotype(PINNED_SPEC, np.random.default_rng(0))
+        p = tmp_path / "geno.json"
+        g.save(p)
+        assert p.read_text() == PINNED_GENOTYPE_JSON
+        assert MultiHeadGenotype.from_dict(json.loads(PINNED_GENOTYPE_JSON)) == g
+
+    def test_genotype_is_its_spec_plus_heads(self):
+        names = [f.name for f in dataclasses.fields(MultiHeadGenotype)]
+        assert names == ["spec", "heads"]
+        g = sample_random_genotype(SPEC, np.random.default_rng(6))
+        assert g.spec is SPEC and hash(g) == hash(dataclasses.replace(g))
+
     def test_file_schema_fields(self, tmp_path):
         g = sample_random_genotype(SPEC, np.random.default_rng(0))
         p = tmp_path / "geno.json"
@@ -73,14 +139,14 @@ class TestGenotype:
             for j in range(1, 4)
         )
         with pytest.raises(ValueError, match="distinct"):
-            genotype_from_spec(ModelSpec(num_heads=1), [bad])
+            MultiHeadGenotype(ModelSpec(num_heads=1), (bad,)).validate()
 
     def test_unknown_op_rejected(self):
         cell = tuple(
             NodeChoice(j, (0, 1), ("skip_connect", "warp_drive")) for j in range(4)
         )
         with pytest.raises(ValueError, match="unknown op"):
-            genotype_from_spec(ModelSpec(num_heads=1), [cell])
+            MultiHeadGenotype(ModelSpec(num_heads=1), (cell,)).validate()
 
 
 class TestRandomSampling:
@@ -126,7 +192,7 @@ class TestHamming:
         choice = cell[0]
         new_op = next(o for o in SPEC.ops if o != choice.ops[0])
         cell[0] = NodeChoice(choice.node, choice.inputs, (new_op, choice.ops[1]))
-        g2 = genotype_from_spec(SPEC, [tuple(cell)] + list(g.heads[1:]))
+        g2 = MultiHeadGenotype(SPEC, (tuple(cell),) + g.heads[1:]).validate()
         assert hamming(g, g2) == 1
 
     @given(st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1))

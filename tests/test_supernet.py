@@ -8,8 +8,8 @@ from mhnes import nn, tensor as T
 from mhnes.dirichlet import sample_simplex_rows
 from mhnes.space import (
     ModelSpec,
+    MultiHeadGenotype,
     NodeChoice,
-    genotype_from_spec,
     sample_random_genotype,
 )
 from mhnes.supernet import (
@@ -23,7 +23,7 @@ from mhnes.supernet import (
 from mhnes.tensor import Tape, Tensor, backward
 
 SMALL = ModelSpec(
-    num_heads=2, cells_per_head=1, head_width=8, backbone_width=8, num_classes=4
+    num_heads=2, cells_per_head=1, head_width=8, backbone_width=8
 )
 
 
@@ -120,7 +120,7 @@ class TestSupernetForward:
     def _net(self, spec=SMALL, mode="plain", k=1, seed=0):
         rng = np.random.default_rng(seed)
         arch = ArchParams(spec, mode, rng)
-        return Supernet(rng, spec, arch, k=k), arch
+        return Supernet(rng, spec, arch, 4, k=k), arch
 
     def test_rows_sum_to_one(self):
         net, _ = self._net()
@@ -152,14 +152,14 @@ class TestSupernetForward:
 
     def test_discrete_mode_matches_standalone_network(self):
         spec = ModelSpec(
-            num_heads=1, cells_per_head=2, head_width=8, backbone_width=8, num_classes=4
+            num_heads=1, cells_per_head=2, head_width=8, backbone_width=8
         )
         rng = np.random.default_rng(11)
         geno = sample_random_genotype(spec, rng)
         arch = ArchParams(spec, "plain", rng)
-        sup = Supernet(np.random.default_rng(12), spec, arch, k=1)
-        net = DiscreteNetwork(np.random.default_rng(13), geno, spec.num_classes, track=False)
-        net.load_state_arrays(supernet_as_discrete_arrays(sup, spec, geno))
+        sup = Supernet(np.random.default_rng(12), spec, arch, 4, k=1)
+        net = DiscreteNetwork(np.random.default_rng(13), geno, 4, track=False)
+        net.load_state_arrays(supernet_as_discrete_arrays(sup, geno))
         x = np.random.default_rng(14).normal(size=(4, 1, 16, 16))
         got = sup.predict(x, genotype=[geno], mode="discrete")[0]
         want = np.stack([p.data for p in net(Tensor(x))])
@@ -180,9 +180,9 @@ class TestSupernetForward:
             spec = SMALL
             rng = np.random.default_rng(seed)
             arch = ArchParams(spec, "plain", rng)
-            sup = Supernet(rng, spec, arch, k=1)
+            sup = Supernet(rng, spec, arch, 4, k=1)
             geno = sample_random_genotype(spec, rng)
-            net = DiscreteNetwork(rng, geno, spec.num_classes)
+            net = DiscreteNetwork(rng, geno, 4)
             assert net.param_count() < sup.param_count()
 
     def test_sampled_mode_requires_genotype(self):
@@ -239,15 +239,15 @@ def test_norm_policy():
     """Supernet norms use batch statistics; a DiscreteNetwork's norms track
     running statistics unless built with track=False."""
     sup = Supernet(np.random.default_rng(0), SMALL,
-                   ArchParams(SMALL, "plain", np.random.default_rng(0)))
+                   ArchParams(SMALL, "plain", np.random.default_rng(0)), 4)
     norms = [m for _, m in sup.modules() if isinstance(m, nn.Norm)]
     assert norms and not any(m.track for m in norms)
-    spec = ModelSpec(num_classes=2, num_heads=1, cells_per_head=1, nodes=1,
+    spec = ModelSpec(num_heads=1, cells_per_head=1, nodes=1,
                      ops=("skip_connect", "sep_conv_3x3", "dil_conv_3x3"),
                      backbone_width=4, head_width=4)
-    geno = genotype_from_spec(
-        spec, [[NodeChoice(0, (0, 1), ("sep_conv_3x3", "dil_conv_3x3"))]]
-    )
+    geno = MultiHeadGenotype(
+        spec, ((NodeChoice(0, (0, 1), ("sep_conv_3x3", "dil_conv_3x3")),),)
+    ).validate()
     net = DiscreteNetwork(np.random.default_rng(0), geno, 2)
     assert list(net.state_arrays()) == TRACKED_KEYS
     norm_prefixes = [p for p, m in net.modules() if isinstance(m, nn.Norm)]
@@ -264,7 +264,7 @@ class TestDiscretize:
     def test_one_hot_roundtrip_is_identity(self):
         for seed in range(5):
             geno = sample_random_genotype(SMALL, np.random.default_rng(seed))
-            arch = one_hot_arch(SMALL, geno)
+            arch = one_hot_arch(geno)
             assert discretize(arch) == geno
 
     def test_hand_ranked_edge_strengths(self):

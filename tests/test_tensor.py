@@ -285,6 +285,19 @@ class TestBackwardSemantics:
             backward(loss)
         assert x.grad is None
 
+    def test_frozen_records_nothing_of_its_tensors_and_restores_flags(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+        c = Tensor(np.ones(3))
+        a = Tensor(np.full(3, 2.0), requires_grad=True)
+        with pytest.raises(KeyError):
+            with T.frozen([w, c]), Tape() as tp:
+                backward(T.mul(T.scale(w, 2.0), a).sum())
+                assert len(tp.nodes) == 2  # mul and sum, not the scale of w
+                raise KeyError
+        np.testing.assert_array_equal(a.grad, 2 * np.ones(3))
+        assert w.grad is None
+        assert w.requires_grad and not c.requires_grad
+
 
 class TestGradCheckHarness:
     def test_quadratic_near_exact(self):
