@@ -109,8 +109,7 @@ class EigTrace:
         return "\n".join(lines) + "\n"
 
 
-def make_eig_hook(jsd_weight, tol=1e-6, max_iter=50, probe_seed=0,
-                  probe_examples=256):
+def make_eig_hook(jsd_weight, tol=1e-6, max_iter=50, probe_examples=256):
     """Per-epoch search hook estimating the dominant Hessian eigenvalue.
 
     The probe set is the first ``probe_examples`` of the validation split
@@ -129,7 +128,6 @@ def make_eig_hook(jsd_weight, tol=1e-6, max_iter=50, probe_seed=0,
             dim=point.size,
             tol=tol,
             max_iter=max_iter,
-            seed=probe_seed,
         )
         arch.set_flat(point)
         trace.append(epoch, est)

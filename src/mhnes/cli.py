@@ -211,7 +211,10 @@ def _cmd_eval(args):
     rng = np.random.default_rng(0)
     model = DiscreteNetwork(rng, genotype, num_classes=bundle.classes)
     with np.load(args.weights) as arrays:
-        model.load_state_arrays(dict(arrays))
+        try:
+            model.load_state_arrays(dict(arrays))
+        except ValueError as e:
+            raise UsageError(f"--weights {args.weights}: {e}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_metrics(out, Ensemble([model], "eval"), bundle, cfg, 0, 0, 0.0)

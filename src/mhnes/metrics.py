@@ -118,12 +118,12 @@ class MetricReport:
             raise ValueError("oracle NLL cannot exceed the best member NLL")
 
     @classmethod
-    def from_predictions(cls, pm: PredictionMatrix, num_bins=10):
+    def from_predictions(cls, pm: PredictionMatrix):
         avg = ensemble_average(pm)
         return cls(
             nll=nll(avg, pm.labels),
             error=error(avg, pm.labels),
-            ece=ece(avg, pm.labels, num_bins),
+            ece=ece(avg, pm.labels),
             oracle_nll=oracle_ensemble_nll(pm),
             member_nll=tuple(nll(p, pm.labels) for p in pm.probs),
         )

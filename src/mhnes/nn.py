@@ -64,8 +64,18 @@ class Module:
         }
 
     def load_state_arrays(self, arrays):
-        """Copy ``arrays`` in place into every array ``state_arrays`` names."""
-        for name, a in self.state_arrays().items():
+        """Copy ``arrays`` in place into every array ``state_arrays`` names.
+
+        Names and shapes must match exactly; otherwise ``ValueError`` names
+        the first misfit, and nothing is copied.
+        """
+        own = self.state_arrays()
+        for name in sorted(own.keys() | arrays.keys()):
+            want = own[name].shape if name in own else "no array"
+            got = np.shape(arrays[name]) if name in arrays else "no array"
+            if got != want:
+                raise ValueError(f"array {name!r}: expected {want}, got {got}")
+        for name, a in own.items():
             a[...] = arrays[name]
 
 
@@ -82,9 +92,6 @@ class ModuleList(Module):
 
     def __iter__(self):
         return iter(self.mods)
-
-    def __len__(self):
-        return len(self.mods)
 
     def __getitem__(self, i):
         return self.mods[i]

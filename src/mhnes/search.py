@@ -109,8 +109,9 @@ def _check_finite(phase, epoch, step, *values):
 def bilevel_search_step(net, arch, w_opt, a_opt, train_batch, val_batch, hp, lr,
                         warm, sample_rng=None):
     """One alternation: architecture Adam step (skipped during warmstart),
-    then a weight SGD step. The architecture step runs with the supernet
-    weights frozen, so its backward builds only architecture gradients.
+    then a weight SGD step. Each step freezes what the other updates (the
+    supernet weights, then the architecture), so its backward builds only
+    the gradients its optimizer reads.
     Returns the two loss values; the weight loss is ``None`` when the
     architecture update left a non-finite parameter, since the weight step
     would run on it (the caller fails the step)."""
@@ -125,10 +126,11 @@ def bilevel_search_step(net, arch, w_opt, a_opt, train_batch, val_batch, hp, lr,
         arch.clamp()
         if not np.isfinite(arch.flat()).all():
             return a_loss, None
-    w_loss = _train_step(
-        net, w_opt, losses.ensemble_train_loss, *train_batch, lr,
-        mode="continuous", rng=sample_rng,
-    )
+    with frozen(arch.tensors()):
+        w_loss = _train_step(
+            net, w_opt, losses.ensemble_train_loss, *train_batch, lr,
+            mode="continuous", rng=sample_rng,
+        )
     return a_loss, w_loss
 
 
@@ -262,7 +264,7 @@ def genotype_val_nll(net, genotypes, val_x, val_y, batch=256):
     (``Supernet.forward``). The scores equal those of scoring each genotype
     alone at the same ``batch``.
     """
-    probs = net.predict(val_x, genotype=genotypes, mode="discrete", batch=batch)
+    probs = net.predict(val_x, genotypes, batch=batch)
     return [metrics.ensemble_nll(p, val_y) for p in probs]
 
 
@@ -320,13 +322,11 @@ def randomnas_search(bundle, spec: ModelSpec, hp: SearchHyperparams, seed,
     return candidates[select_min_nll(scores)], budget, scores
 
 
-def train_discrete(genotype: MultiHeadGenotype, bundle, hp: TrainHyperparams,
-                   seed, loss_log=None):
+def train_discrete(genotype: MultiHeadGenotype, bundle, hp: TrainHyperparams, seed):
     """Train a discrete network from fresh He-initialized parameters.
 
     Returns ``(model, budget)`` and predicts nothing: callers predict the
-    splits they need. ``loss_log``, when given, collects the mean training
-    loss of each epoch.
+    splits they need.
     """
     rng = rng_for(seed, "train")
     net = DiscreteNetwork(rng, genotype, num_classes=bundle.classes)
@@ -343,14 +343,10 @@ def train_discrete(genotype: MultiHeadGenotype, bundle, hp: TrainHyperparams,
     steps = 0
     for epoch in range(hp.epochs):
         lr = cosine_lr(epoch, hp.epochs, hp.lr)
-        epoch_losses = []
         for idx in _epoch_batches(len(tr_y), hp.batch, rng):
             loss = _train_step(net, opt, train_loss, tr_x[idx], tr_y[idx], lr)
             _check_finite("train", epoch, steps, loss)
-            epoch_losses.append(loss)
             steps += 1
-        if loss_log is not None:
-            loss_log.append(float(np.mean(epoch_losses)))
     budget = Budget()
     budget.add("train", steps)
     return net, budget

@@ -333,17 +333,17 @@ class Supernet(nn.Module):
 
     __call__ = forward
 
-    def predict(self, images, genotype=None, mode="continuous", batch=256):
-        """Stacked per-head probabilities [M, N, C] without recording; in
-        discrete mode ``genotype`` is a list of G genotypes and the result
-        is [G, M, N, C].
+    def predict(self, images, genotypes, batch=256):
+        """Stacked per-head probabilities [G, M, N, C] of the discrete pass
+        over a list of G genotypes, without recording.
 
         Supernet norms always use batch statistics, so each example's output
         depends on the other examples of its ``batch``-sized chunk: results
         change with the chunk size.
         """
         return _predict_chunks(
-            lambda x: self.forward(x, mode=mode, genotype=genotype), images, batch
+            lambda x: self.forward(x, mode="discrete", genotype=genotypes),
+            images, batch
         )
 
 
@@ -379,12 +379,11 @@ class DiscreteNetwork(nn.Module):
     The supernet's backbone and head modules, with one operation on each
     chosen edge. ``forward`` and ``predict`` stay defined on this class,
     where the benchmark's tracer looks them up. Its norms track running
-    statistics for eval mode unless ``track`` is False (batch statistics, as
-    in the supernet). Training initializes fresh parameters; none are
+    statistics for eval mode. Training initializes fresh parameters; none are
     inherited from a supernetwork.
     """
 
-    def __init__(self, rng, genotype: MultiHeadGenotype, num_classes, track=True):
+    def __init__(self, rng, genotype: MultiHeadGenotype, num_classes):
         super().__init__()
         genotype.validate()
         self.genotype = genotype
@@ -399,7 +398,7 @@ class DiscreteNetwork(nn.Module):
         )
         for _, m in self.modules():
             if isinstance(m, nn.Norm):
-                m.track = track
+                m.track = True
 
     def forward(self, x):
         feats = self.backbone(T.as_tensor(x))

@@ -115,36 +115,11 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar; scalars only on the right for sub/mul symmetry
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def sum(self, axis=None):
         return reduce_sum(self, axis)
 
     def mean(self, axis=None):
         return reduce_mean(self, axis)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
 
 
 def as_tensor(x):
@@ -217,35 +192,24 @@ def frozen(tensors):
 
 
 def _binary_shapes(a, b, op):
-    if np.isscalar(b) or (isinstance(b, np.ndarray) and b.ndim == 0):
-        return float(b)
-    b = as_tensor(b)
+    a, b = as_tensor(a), as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
-    return b
+    return a, b
 
 
 def add(a, b):
-    a = as_tensor(a)
-    b = _binary_shapes(a, b, "add")
-    if isinstance(b, float):
-        return _record(a.data + b, [a], lambda g: (g.copy(),), "add_scalar")
+    a, b = _binary_shapes(a, b, "add")
     return _record(a.data + b.data, [a, b], lambda g: (g.copy(), g.copy()), "add")
 
 
 def sub(a, b):
-    a = as_tensor(a)
-    b = _binary_shapes(a, b, "sub")
-    if isinstance(b, float):
-        return _record(a.data - b, [a], lambda g: (g.copy(),), "sub_scalar")
+    a, b = _binary_shapes(a, b, "sub")
     return _record(a.data - b.data, [a, b], lambda g: (g.copy(), -g), "sub")
 
 
 def mul(a, b):
-    a = as_tensor(a)
-    b = _binary_shapes(a, b, "mul")
-    if isinstance(b, float):
-        return scale(a, b)
+    a, b = _binary_shapes(a, b, "mul")
     return _record(
         a.data * b.data, [a, b], lambda g: (g * b.data, g * a.data), "mul"
     )
@@ -255,18 +219,6 @@ def scale(a, s):
     a = as_tensor(a)
     s = float(s)
     return _record(a.data * s, [a], lambda g: (g * s,), "scale")
-
-
-def matmul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    return _record(
-        a.data @ b.data,
-        [a, b],
-        lambda g: (g @ b.data.T, a.data.T @ g),
-        "matmul",
-    )
 
 
 def linear(x, w, b):
@@ -288,12 +240,6 @@ def relu(x):
     x = as_tensor(x)
     mask = x.data > 0
     return _record(np.where(mask, x.data, 0.0), [x], lambda g: (g * mask,), "relu")
-
-
-def exp(x):
-    x = as_tensor(x)
-    y = np.exp(x.data)
-    return _record(y, [x], lambda g: (g * y,), "exp")
 
 
 def log(x):
@@ -447,21 +393,6 @@ def softmax(x, axis=-1):
         return (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
 
     return _record(y, [x], fn, "softmax")
-
-
-def log_softmax(x, axis=-1):
-    x = as_tensor(x)
-    if x.data.shape[axis] == 0:
-        raise ShapeError(f"log_softmax: empty axis {axis} in shape {x.shape}")
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
-    y = z - lse
-    sm = np.exp(y)
-
-    def fn(g):
-        return (g - sm * g.sum(axis=axis, keepdims=True),)
-
-    return _record(y, [x], fn, "log_softmax")
 
 
 def channel_shuffle(x, groups):

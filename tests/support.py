@@ -9,15 +9,18 @@ import numpy as np
 _EDGE_OP_KEY = re.compile(r"(heads\.(\d+)\.cells\.\d+\.edges\.(\d+)\.ops\.)(\d+)(\..*)")
 
 
-def supernet_as_discrete_arrays(sup, geno):
-    """Map supernet parameters onto the matching DiscreteNetwork state dict.
+def supernet_as_discrete_arrays(sup, net):
+    """The state arrays of DiscreteNetwork ``net`` with every parameter
+    taken from the matching supernet parameter.
 
     Both networks are built from the same head module, so every key lines
     up except edge ops: the chosen op ``o`` of edge ``e`` is
     ``edges.e.ops.o`` in the supernet and ``edges.e.ops.0`` in the discrete
-    network, and ops that were not chosen are dropped (k=1 supernet,
-    track=False discrete norms).
+    network, and ops that were not chosen are dropped (k=1 supernet). The
+    supernet tracks no running statistics, so ``net`` keeps its own; in
+    training mode its norms use batch statistics, as the supernet's do.
     """
+    geno = net.genotype
     spec = geno.spec
     chosen = set()
     for h, cell in enumerate(geno.heads):
@@ -25,7 +28,7 @@ def supernet_as_discrete_arrays(sup, geno):
             start, _ = spec.node_edge_range(choice.node)
             for src, op_name in zip(choice.inputs, choice.ops):
                 chosen.add((h, start + src, spec.ops.index(op_name)))
-    arrays = {}
+    arrays = dict(net.state_arrays())
     for key, value in sup.state_arrays().items():
         m = _EDGE_OP_KEY.fullmatch(key)
         if m is None:

@@ -16,9 +16,10 @@ from support import random_prob_rows, supernet_as_discrete_arrays
 from mhnes import analysis, convops, losses, metrics, runner, search, tensor as T
 from mhnes.config import ExperimentConfig, SearchHyperparams, TrainHyperparams
 from mhnes.data import gen_synthetic
+from mhnes.dirichlet import row_normalize, sample_simplex_rows
 from mhnes.ensembles import forward_select
 from mhnes.metrics import PredictionMatrix
-from mhnes.space import ModelSpec, sample_random_genotype
+from mhnes.space import BatchMix, ModelSpec, sample_random_genotype
 from mhnes.supernet import DiscreteNetwork, MixedEdge, Supernet, one_hot_arch
 from mhnes.tensor import Tensor, grad_check
 
@@ -65,39 +66,48 @@ def test_gradient_suite():
         return Tensor(rng.normal(size=shape))
 
     def masked(op, w):
-        return lambda *ts: (op(*ts) * w).sum()
+        return lambda *ts: T.mul(op(*ts), w).sum()
 
     check("add", lambda rng: (
         masked(T.add, mask(rng, (3, 3))),
         [Tensor(rng.normal(size=(3, 3))), Tensor(rng.normal(size=(3, 3)))],
     ))
     check("sub_mul_scale", lambda rng: (
-        lambda a, b: (T.mul(T.sub(a, b), T.scale(a, 0.7))).sum(),
+        lambda a, b: T.mul(T.sub(a, b), T.scale(a, 0.7)).sum(),
         [Tensor(rng.normal(size=(4,))), Tensor(rng.normal(size=(4,)))],
-    ))
-    check("matmul", lambda rng: (
-        masked(T.matmul, mask(rng, (3, 2))),
-        [Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(4, 2)))],
     ))
     check("linear", lambda rng: (
         masked(T.linear, mask(rng, (3, 2))),
         [Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(4, 2))),
          Tensor(rng.normal(size=(2,)))],
     ))
-    check("relu_exp_log_clip", lambda rng: (
-        lambda x: T.log(T.clip_min(T.exp(T.relu(x)), 1e-9)).sum(),
+    check("relu_log_clip", lambda rng: (
+        lambda x: T.log(T.clip_min(T.relu(x), 0.1)).sum(),
         [Tensor(rng.normal(size=(8,)) + 1.0)],
     ))
     check("softmax", lambda rng: (
         masked(lambda x: T.softmax(x, axis=1), mask(rng, (3, 5))),
         [Tensor(rng.normal(size=(3, 5)))],
     ))
-    check("log_softmax", lambda rng: (
-        masked(lambda x: T.log_softmax(x, axis=1), mask(rng, (3, 5))),
-        [Tensor(rng.normal(size=(3, 5)))],
+    check("row_normalize", lambda rng: (
+        masked(row_normalize, mask(rng, (3, 5))),
+        [Tensor(rng.uniform(0.5, 2.0, size=(3, 5)))],
     ))
+
+    def dirichlet_sample(rng):
+        # the same noise at every call, so the pathwise derivative is exact
+        seed = int(rng.integers(2**31))
+
+        def sample(c):
+            return sample_simplex_rows(c, np.random.default_rng(seed))
+
+        return (masked(sample, mask(rng, (2, 4))),
+                [Tensor(rng.uniform(0.5, 3.0, size=(2, 4)))])
+
+    check("dirichlet_sample", dirichlet_sample)
+
     check("reductions_shapes", lambda rng: (
-        lambda x: T.reshape(x.mean(axis=0), (4,)).sum() + x.sum(axis=1).mean(),
+        lambda x: T.add(T.reshape(x.mean(axis=0), (4,)).sum(), x.sum(axis=1).mean()),
         [Tensor(rng.normal(size=(3, 4)))],
     ))
     check("concat_narrow", lambda rng: (
@@ -125,6 +135,11 @@ def test_gradient_suite():
     check("subsample2", lambda rng: (
         masked(T.subsample2, mask(rng, (1, 3, 3, 3))),
         [Tensor(rng.normal(size=(1, 3, 5, 5)))],
+    ))
+    check("batch_mix", lambda rng: (
+        # 5 examples roll by 2, so a backward rolling the wrong way is caught
+        masked(BatchMix(1), mask(rng, (5, 2, 3, 3))),
+        [Tensor(rng.normal(size=(5, 2, 3, 3)))],
     ))
     check("conv2d", lambda rng: (
         masked(
@@ -210,13 +225,13 @@ def test_one_hot_consistency():
     geno = sample_random_genotype(spec, rng)
     arch = one_hot_arch(geno, margin=40.0)
     sup = Supernet(np.random.default_rng(22), spec, arch, 4, k=1)
-    net = DiscreteNetwork(np.random.default_rng(23), geno, 4, track=False)
-    net.load_state_arrays(supernet_as_discrete_arrays(sup, geno))
+    net = DiscreteNetwork(np.random.default_rng(23), geno, 4)
+    net.load_state_arrays(supernet_as_discrete_arrays(sup, net))
     from mhnes.supernet import discretize
 
     assert discretize(arch) == geno
     batch = np.random.default_rng(24).normal(size=(5, 1, 16, 16))
-    got = sup.predict(batch, genotype=[geno], mode="discrete")[0]
+    got = sup.predict(batch, [geno])[0]
     want = np.stack([p.data for p in net(Tensor(batch))])
     assert np.abs(got - want).max() < 1e-10
 

@@ -90,8 +90,8 @@ class TestConv2d:
             size=conv2d(x, w, stride, padding, dilation, groups).shape
         )
         err = grad_check(
-            lambda x, w: (
-                conv2d(x, w, stride, padding, dilation, groups) * Tensor(mask)
+            lambda x, w: T.mul(
+                conv2d(x, w, stride, padding, dilation, groups), Tensor(mask)
             ).sum(),
             [x, w],
         )
@@ -159,7 +159,7 @@ class TestConv2dBitExact:
         with T.Tape():
             out = conv2d(x, w, stride, padding, dilation, groups)
             g = rng.normal(size=out.shape)
-            T.backward((out * Tensor(g)).sum())
+            T.backward(T.mul(out, Tensor(g)).sum())
         want = im2col_conv2d(x.data, w.data, g, stride, padding, dilation, groups)
         for got, ref in zip((out.data, x.grad, w.grad), want):
             np.testing.assert_array_equal(got, ref)
@@ -254,7 +254,7 @@ class TestPool2d:
         x = Tensor(rng.normal(size=(2, 3, 5, 5)))
         mask = rng.normal(size=(2, 3, 5, 5))
         err = grad_check(
-            lambda x: (pool2d("avg", x, 3, 1, 1) * Tensor(mask)).sum(), [x]
+            lambda x: T.mul(pool2d("avg", x, 3, 1, 1), Tensor(mask)).sum(), [x]
         )
         assert err < 1e-5
 
@@ -263,7 +263,7 @@ class TestPool2d:
         x = Tensor(rng.normal(size=(1, 2, 5, 5)))  # continuous draws: no ties
         mask = rng.normal(size=(1, 2, 5, 5))
         err = grad_check(
-            lambda x: (pool2d("max", x, 3, 1, 1) * Tensor(mask)).sum(), [x]
+            lambda x: T.mul(pool2d("max", x, 3, 1, 1), Tensor(mask)).sum(), [x]
         )
         assert err < 1e-5
 
@@ -300,7 +300,7 @@ class TestPool2dBitExact:
         xt = Tensor(x, requires_grad=True)
         with T.Tape():
             out = pool2d(kind, xt, window, stride, padding)
-            T.backward((out * Tensor(g)).sum())
+            T.backward(T.mul(out, Tensor(g)).sum())
         want = nchw_pool2d(kind, x, g, window, stride, padding)
         for got, ref in zip((out.data, xt.grad), want):
             np.testing.assert_array_equal(got, ref)
@@ -362,7 +362,7 @@ class TestNormalize:
         x = Tensor(rng.normal(size=(3, 2, 4, 4)))
         mask = rng.normal(size=(3, 2, 4, 4))
         err = grad_check(
-            lambda x: (normalize_no_affine(x) * Tensor(mask)).sum(), [x]
+            lambda x: T.mul(normalize_no_affine(x), Tensor(mask)).sum(), [x]
         )
         assert err < 1e-5
 

@@ -279,6 +279,37 @@ class TestCli:
         assert "config.model.num_classes: unknown field" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("misfit, key, why", [
+        ("classes", "heads.0.classifier.bias", "expected (4,), got (3,)"),
+        ("missing", "heads.1.classifier.weight", "got no array"),
+        ("extra", "heads.2.classifier.weight", "expected no array, got (1,)"),
+    ], ids=["classes", "missing", "extra"])
+    def test_eval_rejects_weights_that_do_not_fit(
+        self, tmp_path, capsys, misfit, key, why
+    ):
+        from mhnes.supernet import DiscreteNetwork
+
+        d = tiny_config_dict()
+        geno, weights = tmp_path / "g.json", tmp_path / "w.npz"
+        genotype = save_random_genotype(d, geno)
+        arrays = DiscreteNetwork(np.random.default_rng(0), genotype, 3).state_arrays()
+        if misfit == "classes":
+            d["data"]["classes"] = 4  # the weights hold a 3-class classifier
+        elif misfit == "missing":
+            del arrays[key]
+        else:
+            arrays[key] = np.zeros(1)
+        np.savez(weights, **arrays)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(d))
+        out = tmp_path / "o"
+        assert cli.main(["eval", "--config", str(cfg), "--genotype", str(geno),
+                         "--weights", str(weights), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --weights {weights}: array {key!r}")
+        assert why in err
+        assert not out.exists()
+
     def test_train_rejects_stored_dataset_with_other_class_count(
         self, tmp_path, capsys
     ):

@@ -1,6 +1,6 @@
 """Experiment scripts: each imports, every mhnes name it reads exists, every
-keyword it passes to an mhnes class is a parameter of it, and the configs
-it builds validate."""
+keyword it passes to an mhnes class or function is a parameter of it, and
+the configs it builds validate."""
 
 import ast
 import importlib.util
@@ -18,7 +18,21 @@ SCRIPTS = sorted(SCRIPT_DIR.glob("*.py"))
 def _from_mhnes(obj):
     if inspect.ismodule(obj):
         return obj.__name__.startswith("mhnes")
-    return inspect.isclass(obj) and obj.__module__.startswith("mhnes")
+    return ((inspect.isclass(obj) or inspect.isroutine(obj))
+            and (obj.__module__ or "").startswith("mhnes"))
+
+
+def _mhnes_callee(module, func):
+    """The mhnes class or function that a call names as ``name(...)`` or
+    ``owner.name(...)``, or None."""
+    if isinstance(func, ast.Name):
+        obj = getattr(module, func.id, None)
+    elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        owner = getattr(module, func.value.id, None)
+        obj = getattr(owner, func.attr, None) if _from_mhnes(owner) else None
+    else:
+        return None
+    return obj if _from_mhnes(obj) and not inspect.ismodule(obj) else None
 
 
 def _load(path):
@@ -43,14 +57,17 @@ def test_script_imports_and_reads_existing_names(path):
                 assert hasattr(owner, node.attr), (
                     f"{path.name}: {node.value.id}.{node.attr} does not exist"
                 )
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            cls = getattr(module, node.func.id, None)
-            if _from_mhnes(cls):
-                params = inspect.signature(cls).parameters
-                for kw in node.keywords:
-                    assert kw.arg is None or kw.arg in params, (
-                        f"{path.name}: {node.func.id}({kw.arg}=...) is no parameter"
-                    )
+        callee = isinstance(node, ast.Call) and _mhnes_callee(module, node.func)
+        if callee:
+            params = inspect.signature(callee).parameters.values()
+            if any(p.kind is p.VAR_KEYWORD for p in params):
+                continue
+            names = {p.name for p in params}
+            for kw in node.keywords:
+                assert kw.arg is None or kw.arg in names, (
+                    f"{path.name}: {ast.unparse(node.func)}({kw.arg}=...) "
+                    "is no parameter"
+                )
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -73,24 +73,38 @@ class TestWarmstart:
 
 
 class TestBilevelGradients:
-    def test_arch_step_freezes_the_weights(self, bundle, monkeypatch):
+    @staticmethod
+    def _flags_in_loss(bundle, monkeypatch, loss_name):
+        """Run one bilevel epoch; return its step count and, per call of
+        ``losses.<loss_name>``, the ``requires_grad`` flags of the supernet
+        weights and of the architecture tensors. Every flag is restored."""
         rng = search.rng_for(0, "freezetest")
         arch = ArchParams(TINY, "pcdarts", rng)
         net = Supernet(rng, TINY, arch, 3, k=2)
-        weights = net.parameters()
+        weights, arch_tensors = net.parameters(), arch.tensors()
         seen = []
-        arch_val_loss = losses.arch_val_loss
+        loss = getattr(losses, loss_name)
 
         def recording(*args, **kwargs):
-            seen.append({w.requires_grad for w in weights})
-            return arch_val_loss(*args, **kwargs)
+            seen.append(({t.requires_grad for t in weights},
+                         {t.requires_grad for t in arch_tensors}))
+            return loss(*args, **kwargs)
 
-        monkeypatch.setattr(losses, "arch_val_loss", recording)
+        monkeypatch.setattr(losses, loss_name, recording)
         split = search._split_search_data(bundle, FAST_HP, rng)
         steps = search._run_bilevel_phase(net, arch, FAST_HP, 1, 0, split, rng)
-        assert len(seen) == steps >= 1
-        assert all(flags == {False} for flags in seen)
-        assert all(w.requires_grad for w in weights)
+        assert steps >= 1
+        assert all(t.requires_grad for t in weights + arch_tensors)
+        return steps, seen
+
+    def test_arch_step_freezes_the_weights(self, bundle, monkeypatch):
+        steps, seen = self._flags_in_loss(bundle, monkeypatch, "arch_val_loss")
+        assert seen == [({False}, {True})] * steps
+
+    def test_weight_step_freezes_the_architecture(self, bundle, monkeypatch):
+        steps, seen = self._flags_in_loss(bundle, monkeypatch, "ensemble_train_loss")
+        # per step: arch_val_loss's own call in the arch step, then the weight step
+        assert seen == [({False}, {True}), ({True}, {False})] * steps
 
     def test_arch_gradient_matches_finite_difference(self, bundle):
         spec = ModelSpec(
@@ -127,8 +141,8 @@ class TestBilevelGradients:
         geno = sample_random_genotype(spec, rng)
         arch = one_hot_arch(geno, margin=40.0)
         sup = Supernet(np.random.default_rng(12), spec, arch, 3, k=1)
-        net = DiscreteNetwork(np.random.default_rng(13), geno, 3, track=False)
-        net.load_state_arrays(supernet_as_discrete_arrays(sup, geno))
+        net = DiscreteNetwork(np.random.default_rng(13), geno, 3)
+        net.load_state_arrays(supernet_as_discrete_arrays(sup, net))
 
         x, y = bundle.split("train")
         batches = [slice(i * 16, (i + 1) * 16) for i in range(5)]
@@ -351,14 +365,21 @@ class TestSharedScoring:
 
 
 class TestTrainDiscrete:
-    def test_loss_decreases_over_first_epochs(self, bundle):
+    def test_loss_decreases_over_first_epochs(self, bundle, monkeypatch):
         geno = sample_random_genotype(TINY, np.random.default_rng(2))
-        log = []
-        search.train_discrete(
-            geno, bundle, TrainHyperparams(epochs=5, batch=64, lr=0.05), seed=0,
-            loss_log=log,
-        )
-        assert len(log) == 5
+        step_losses = []
+        real_step = search._train_step
+
+        def train_step(*args, **kwargs):
+            step_losses.append(real_step(*args, **kwargs))
+            return step_losses[-1]
+
+        monkeypatch.setattr(search, "_train_step", train_step)
+        hp = TrainHyperparams(epochs=5, batch=64, lr=0.05)
+        search.train_discrete(geno, bundle, hp, seed=0)
+        per_epoch = search.steps_per_epoch(len(bundle.split("train")[1]), hp.batch)
+        assert len(step_losses) == 5 * per_epoch
+        log = np.mean(np.reshape(step_losses, (5, per_epoch)), axis=1)
         assert all(a > b for a, b in zip(log, log[1:]))
 
     def test_same_seed_bit_identical_metrics(self, bundle):

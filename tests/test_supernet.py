@@ -146,8 +146,8 @@ class TestSupernetForward:
         for a, b in zip(arch1.tensors(), arch2.tensors()):
             b.data[...] = a.data
         x = np.random.default_rng(4).normal(size=(3, 1, 16, 16))
-        outs1 = net1.predict(x)
-        outs2 = net2.predict(x)
+        outs1 = [p.data for p in net1(Tensor(x))]
+        outs2 = [p.data for p in net2(Tensor(x))]
         np.testing.assert_array_equal(outs1, outs2)
 
     def test_discrete_mode_matches_standalone_network(self):
@@ -158,22 +158,25 @@ class TestSupernetForward:
         geno = sample_random_genotype(spec, rng)
         arch = ArchParams(spec, "plain", rng)
         sup = Supernet(np.random.default_rng(12), spec, arch, 4, k=1)
-        net = DiscreteNetwork(np.random.default_rng(13), geno, 4, track=False)
-        net.load_state_arrays(supernet_as_discrete_arrays(sup, geno))
+        net = DiscreteNetwork(np.random.default_rng(13), geno, 4)
+        net.load_state_arrays(supernet_as_discrete_arrays(sup, net))
         x = np.random.default_rng(14).normal(size=(4, 1, 16, 16))
-        got = sup.predict(x, genotype=[geno], mode="discrete")[0]
+        got = sup.predict(x, [geno])[0]
         want = np.stack([p.data for p in net(Tensor(x))])
         assert np.abs(got - want).max() < 1e-10
 
     def test_predict_depends_on_chunk_size(self):
         # supernet norms use batch statistics: a chunk is normalized on its own
         net, _ = self._net()
+        gs = [sample_random_genotype(SMALL, np.random.default_rng(15))]
         x = np.random.default_rng(15).normal(size=(8, 1, 16, 16))
-        whole = net.predict(x, batch=len(x))
-        chunked = net.predict(x, batch=3)
+        whole = net.predict(x, gs, batch=len(x))
+        chunked = net.predict(x, gs, batch=3)
         assert np.abs(whole - chunked).max() > 1e-6
-        np.testing.assert_array_equal(chunked[:, :3], net.predict(x[:3], batch=3))
-        np.testing.assert_array_equal(whole, net.predict(x))
+        np.testing.assert_array_equal(
+            chunked[:, :, :3], net.predict(x[:3], gs, batch=3)
+        )
+        np.testing.assert_array_equal(whole, net.predict(x, gs))
 
     def test_discrete_param_count_below_supernet(self):
         for seed in range(3):
@@ -237,7 +240,7 @@ TRACKED_KEYS = [
 
 def test_norm_policy():
     """Supernet norms use batch statistics; a DiscreteNetwork's norms track
-    running statistics unless built with track=False."""
+    running statistics."""
     sup = Supernet(np.random.default_rng(0), SMALL,
                    ArchParams(SMALL, "plain", np.random.default_rng(0)), 4)
     norms = [m for _, m in sup.modules() if isinstance(m, nn.Norm)]
@@ -254,10 +257,6 @@ def test_norm_policy():
     assert len(norm_prefixes) == 10
     for p in norm_prefixes:
         assert {p + "running_mean", p + "running_var"} <= set(TRACKED_KEYS)
-    untracked = DiscreteNetwork(np.random.default_rng(0), geno, 2, track=False)
-    assert list(untracked.state_arrays()) == [
-        k for k in TRACKED_KEYS if not k.endswith(("running_mean", "running_var"))
-    ]
 
 
 class TestDiscretize:
