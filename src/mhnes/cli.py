@@ -16,6 +16,7 @@ import dataclasses
 import json
 import sys
 import time
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -210,11 +211,14 @@ def _cmd_eval(args):
     bundle = runner.load_bundle(cfg.data)
     rng = np.random.default_rng(0)
     model = DiscreteNetwork(rng, genotype, num_classes=bundle.classes)
-    with np.load(args.weights) as arrays:
-        try:
-            model.load_state_arrays(dict(arrays))
-        except ValueError as e:
-            raise UsageError(f"--weights {args.weights}: {e}") from None
+    try:
+        archive = np.load(args.weights)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ValueError("one array, not an .npz archive")
+        with archive:
+            model.load_state_arrays(dict(archive))
+    except (ValueError, EOFError, zipfile.BadZipFile) as e:
+        raise UsageError(f"--weights {args.weights}: {e}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_metrics(out, Ensemble([model], "eval"), bundle, cfg, 0, 0, 0.0)

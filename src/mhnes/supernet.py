@@ -8,6 +8,16 @@ routes only 1/K of the channels through the operation mixture, the rest
 bypassing, followed by a channel shuffle. Edge weights (PC-DARTS mode)
 combine a node's incoming edges by a second softmax.
 
+The mixture runs stacked. Every edge that reads one cell state (an input,
+or a node's output) gets a copy of the state's op-path channels, stacked
+along the channel axis, and each candidate op runs once on the stack:
+depthwise convs, norms, pools and skips work per channel, and pointwise
+convs become grouped convs with one group per edge. So a cell calls each
+op layer once per state that edges read (5 at 4 nodes), not once per edge
+(14). Outputs and, with partial channels (K > 1), gradients equal those of
+running each edge by itself; at K = 1 gradients can differ in the last bit
+(see ``MixedCell.forward``).
+
 A discrete forward scores a list of genotypes in one pass. The backbone and
 each head's first-cell input states do not depend on the genotype, nor do the
 first cell's edges that read those states (stride-2 reductions on the largest
@@ -22,7 +32,7 @@ import numpy as np
 
 from . import nn, tensor as T
 from .dirichlet import row_normalize, sample_simplex_rows
-from .space import ModelSpec, MultiHeadGenotype, NodeChoice, build_op
+from .space import ModelSpec, MultiHeadGenotype, NodeChoice, build_op, stacked
 from .tensor import Tensor
 
 ARCH_MODES = ("plain", "pcdarts", "drnas")
@@ -109,7 +119,12 @@ class ArchParams:
 
 
 class MixedEdge(nn.Module):
-    """Candidate operations on one edge, mixed by given weights or picked by name."""
+    """Candidate operations on one edge; a forward runs the one it names.
+
+    With partial-channel factor K > 1 only the first c/K channels (the op
+    path) go through the op; the rest bypass it, subsampled at stride 2,
+    and a channel shuffle interleaves the two (``join``).
+    """
 
     def __init__(self, rng, ops, c, stride, k=1):
         super().__init__()
@@ -123,22 +138,37 @@ class MixedEdge(nn.Module):
             [build_op(name, rng, c // k, stride) for name in ops]
         )
 
-    def _through_ops(self, x, w_row=None, op=None):
-        if op is not None:
-            return self.ops[self.names.index(op)](x)
-        return T.weighted_sum([o(x) for o in self.ops], w_row)
-
-    def forward(self, x, w_row=None, op=None):
+    def forward(self, x, op):
+        run = self.ops[self.names.index(op)]
         if self.k == 1:
-            return self._through_ops(x, w_row, op)
-        c1 = self.c // self.k
-        x1 = T.narrow(x, 1, 0, c1)
-        x2 = T.narrow(x, 1, c1, self.c - c1)
-        y1 = self._through_ops(x1, w_row, op)
-        y2 = T.subsample2(x2) if self.stride == 2 else x2
-        return T.channel_shuffle(T.concat([y1, y2], axis=1), self.k)
+            return run(x)
+        return self.join(run(T.narrow(x, 1, 0, self.c // self.k)), x)
 
     __call__ = forward
+
+    def join(self, y, x):
+        """The edge's output from its op-path result ``y`` and its input ``x``."""
+        if self.k == 1:
+            return y
+        c1 = self.c // self.k
+        x2 = T.narrow(x, 1, c1, self.c - c1)
+        y2 = T.subsample2(x2) if self.stride == 2 else x2
+        return T.channel_shuffle(T.concat([y, y2], axis=1), self.k)
+
+
+def mix_edges(edges, x, table, rows):
+    """Op-path mixtures of ``edges``, which all read ``x``, with one call
+    per candidate op.
+
+    Edge e's ops run on copy e of x's op-path channels (``channel_repeat``),
+    each op once for all edges (``space.stacked``), and ``table`` row
+    ``rows[e]`` mixes edge e's outputs (``edge_mix``). Returns [N, E*c/K,
+    H', W'], edge e's mixture in channel block e.
+    """
+    first = edges[0]
+    xs = T.channel_repeat(x, first.c // first.k, len(edges))
+    outs = [stacked(ops, xs) for ops in zip(*(edge.ops for edge in edges))]
+    return T.edge_mix(outs, table, rows)
 
 
 class MixedCell(nn.Module):
@@ -152,6 +182,7 @@ class MixedCell(nn.Module):
     def __init__(self, rng, spec: ModelSpec, edge_ops, c_in, reduction, k=1):
         super().__init__()
         self.spec = spec
+        self.width = spec.head_width // k
         c = spec.head_width
         self.pre = nn.ModuleList([nn.ReluConvNorm(rng, c_in, c) for _ in range(2)])
         self.edges = nn.ModuleList()
@@ -162,6 +193,18 @@ class MixedCell(nn.Module):
     def forward(self, x, table=None, betas=None, cell_genotype=None, shared=None):
         """Mixture forward when ``table`` is given, masked single-op forward
         when ``cell_genotype`` is given (only chosen edges are evaluated).
+
+        The mixture runs stacked: as soon as a state exists (the two
+        inputs, then each node's output), ``mix_edges`` runs every edge that
+        reads it, stacked in descending node order, so each candidate op is
+        called once per state rather than once per edge. Each node then
+        takes its edges' blocks, and ``MixedEdge.join`` adds the bypass.
+        Outputs equal those of running each edge by itself. So do gradients
+        at K > 1, where each edge reads a narrow of its state, as before.
+        At K = 1 the state feeds the ops directly: each edge's op gradients
+        are summed before they are added into the state, where the per-edge
+        runs added them into it one by one, so gradients can differ in the
+        last bit.
 
         ``shared`` is a dict that a caller keeps across masked forwards of
         the same ``x``. It holds the cell's two input states and each
@@ -181,30 +224,47 @@ class MixedCell(nn.Module):
                     key = (start + src, op_name)
                     out = shared.get(key) if src < 2 else None
                     if out is None:
-                        out = self.edges[start + src](states[src], op=op_name)
+                        out = self.edges[start + src](states[src], op_name)
                         if src < 2:
                             shared[key] = out
                     acc = out if acc is None else T.add(acc, out)
                 states.append(acc)
-        else:
-            n_ops = table.shape[1]
-            for j in range(self.spec.nodes):
-                start, stop = self.spec.node_edge_range(j)
-                outs = []
-                for e in range(start, stop):
-                    row = T.reshape(T.narrow(table, 0, e, 1), (n_ops,))
-                    outs.append(self.edges[e](states[e - start], w_row=row))
-                if betas is not None:
-                    bw = T.softmax(T.narrow(betas, 0, start, stop - start), axis=0)
-                    states.append(T.weighted_sum(outs, bw))
-                else:
-                    acc = outs[0]
-                    for o in outs[1:]:
-                        acc = T.add(acc, o)
-                    states.append(acc)
+            return T.concat(states[2:], axis=1)
+        nodes = self.spec.nodes
+        mixed = [self._mix_from(states, i, table) for i in (0, 1)]
+        for j in range(nodes):
+            start, stop = self.spec.node_edge_range(j)
+            block = (nodes - 1 - j) * self.width  # node j's block in each stack
+            outs = [
+                self.edges[start + i].join(
+                    T.narrow(mixed[i], 1, block, self.width), states[i]
+                )
+                for i in range(j + 2)
+            ]
+            if betas is not None:
+                bw = T.softmax(T.narrow(betas, 0, start, stop - start), axis=0)
+                states.append(T.weighted_sum(outs, bw))
+            else:
+                acc = outs[0]
+                for o in outs[1:]:
+                    acc = T.add(acc, o)
+                states.append(acc)
+            if j + 1 < nodes:
+                mixed.append(self._mix_from(states, j + 2, table))
         return T.concat(states[2:], axis=1)
 
     __call__ = forward
+
+    def _mix_from(self, states, i, table):
+        """``mix_edges`` over the edges that read state ``i``: those into
+        nodes ``nodes - 1`` down to ``max(i - 1, 0)``, in that order, so
+        that ``backward`` adds their gradients into the state in the order
+        that per-edge runs recorded in reverse would."""
+        rows = [
+            self.spec.node_edge_range(j)[0] + i
+            for j in range(self.spec.nodes - 1, max(i - 1, 0) - 1, -1)
+        ]
+        return mix_edges([self.edges[e] for e in rows], states[i], table, rows)
 
 
 # The benchmark's tracer (perfbench/child.py) wraps ``supernet.DiscreteCell``.

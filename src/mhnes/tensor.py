@@ -381,6 +381,72 @@ def weighted_sum(tensors, w):
     return _record(out, list(tensors) + [w], fn, "weighted_sum")
 
 
+def channel_repeat(x, width, copies):
+    """The first ``width`` channels of an [N,C,H,W] tensor, ``copies`` times
+    along the channel axis.
+
+    ``x`` is an input once per copy, so ``backward`` adds each copy's
+    gradient (zero outside the first ``width`` channels) into x's in turn,
+    copy 0 first, as it would for ``copies`` separate narrows of x.
+    """
+    x = as_tensor(x)
+    if x.ndim != 4 or not 0 < width <= x.shape[1] or copies < 1:
+        raise ShapeError(
+            f"channel_repeat: {copies} copies of {width} channels of shape {x.shape}"
+        )
+
+    def fn(g):
+        grads = []
+        for e in range(copies):
+            full = np.zeros_like(x.data)
+            full[:, :width] = g[:, e * width : (e + 1) * width]
+            grads.append(full)
+        return tuple(grads)
+
+    out = np.concatenate([x.data[:, :width]] * copies, axis=1)
+    return _record(out, [x] * copies, fn, "channel_repeat")
+
+
+def edge_mix(outs, table, rows):
+    """Per-edge weighted sums of stacked op outputs.
+
+    ``outs`` holds one [N, E*c, H, W] output per op, whose channel block e
+    belongs to the edge of ``table`` row ``rows[e]``. Block e of the result
+    is sum_o table[rows[e], o] * outs[o] block e, in op order. Each edge's
+    numbers, and its row's gradient (each product summed over the edge's
+    block alone, contiguously), are those of ``weighted_sum`` over that
+    edge's blocks; the other rows of ``table`` get a zero gradient.
+    """
+    outs = [as_tensor(t) for t in outs]
+    table = as_tensor(table)
+    rows = list(rows)
+    e = len(rows)
+    shape = outs[0].data.shape
+    if table.ndim != 2 or table.shape[1] != len(outs):
+        raise ShapeError(f"edge_mix: {len(outs)} op outputs vs table shape {table.shape}")
+    if len(shape) != 4 or e == 0 or shape[1] % e or len(set(rows)) != e:
+        raise ShapeError(f"edge_mix: rows {rows} do not split shape {shape}")
+    for t in outs[1:]:
+        if t.data.shape != shape:
+            raise ShapeError(f"edge_mix: shape mismatch {t.data.shape} vs {shape}")
+    blocks = (shape[0], e, shape[1] // e) + shape[2:]
+    # [1, E, 1, 1, 1] weight of each op, broadcast over its edge's block
+    w = [table.data[rows, o].reshape(1, e, 1, 1, 1) for o in range(len(outs))]
+    out = np.zeros(blocks)
+    for wo, t in zip(w, outs):
+        out += wo * t.data.reshape(blocks)
+
+    def fn(g):
+        g = g.reshape(blocks)
+        gt = np.zeros(table.data.shape)
+        for o, t in enumerate(outs):
+            prod = np.ascontiguousarray((g * t.data.reshape(blocks)).swapaxes(0, 1))
+            gt[rows, o] = prod.reshape(e, -1).sum(axis=1)
+        return tuple((g * wo).reshape(shape) for wo in w) + (gt,)
+
+    return _record(out.reshape(shape), list(outs) + [table], fn, "edge_mix")
+
+
 def softmax(x, axis=-1):
     x = as_tensor(x)
     if x.data.shape[axis] == 0:

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 
+from mhnes import tensor as T
+
 
 # supernet key of one edge op: (prefix, head, edge, op index, rest)
 _EDGE_OP_KEY = re.compile(r"(heads\.(\d+)\.cells\.\d+\.edges\.(\d+)\.ops\.)(\d+)(\..*)")
@@ -125,3 +127,41 @@ def nchw_pool2d(kind, x, g, window=3, stride=1, padding=1):
     for i, (si, sj) in enumerate(slices):
         dxp[:, :, si, sj] += dcols[:, :, i]
     return out, dxp[:, :, padding : padding + h, padding : padding + wd].copy()
+
+
+def per_edge_mixture(cell, x, table, betas=None):
+    """Reference mixture forward of a supernet ``MixedCell``: each edge by
+    itself, its ops called on its own input and mixed by ``weighted_sum``,
+    nodes in order.
+
+    ``MixedCell`` stacks the edges that read one state instead; its outputs
+    and, at partial-channel factor K > 1, its gradients must equal these
+    bit for bit.
+    """
+    spec = cell.spec
+    states = [cell.pre[0](x), cell.pre[1](x)]
+    n_ops = table.shape[1]
+    for j in range(spec.nodes):
+        start, stop = spec.node_edge_range(j)
+        outs = []
+        for e in range(start, stop):
+            edge, xe = cell.edges[e], states[e - start]
+            row = T.reshape(T.narrow(table, 0, e, 1), (n_ops,))
+            if edge.k == 1:
+                outs.append(T.weighted_sum([o(xe) for o in edge.ops], row))
+                continue
+            c1 = edge.c // edge.k
+            x1 = T.narrow(xe, 1, 0, c1)
+            x2 = T.narrow(xe, 1, c1, edge.c - c1)
+            y1 = T.weighted_sum([o(x1) for o in edge.ops], row)
+            y2 = T.subsample2(x2) if edge.stride == 2 else x2
+            outs.append(T.channel_shuffle(T.concat([y1, y2], axis=1), edge.k))
+        if betas is not None:
+            bw = T.softmax(T.narrow(betas, 0, start, stop - start), axis=0)
+            states.append(T.weighted_sum(outs, bw))
+        else:
+            acc = outs[0]
+            for o in outs[1:]:
+                acc = T.add(acc, o)
+            states.append(acc)
+    return T.concat(states[2:], axis=1)

@@ -20,7 +20,8 @@ from mhnes.dirichlet import row_normalize, sample_simplex_rows
 from mhnes.ensembles import forward_select
 from mhnes.metrics import PredictionMatrix
 from mhnes.space import BatchMix, ModelSpec, sample_random_genotype
-from mhnes.supernet import DiscreteNetwork, MixedEdge, Supernet, one_hot_arch
+from mhnes.supernet import (DiscreteNetwork, MixedEdge, Supernet, mix_edges,
+                            one_hot_arch)
 from mhnes.tensor import Tensor, grad_check
 
 
@@ -126,6 +127,26 @@ def test_gradient_suite():
         [Tensor(rng.normal(size=(2, 3))), Tensor(rng.normal(size=(2, 3))),
          Tensor(rng.normal(size=2))],
     ))
+    check("channel_repeat", lambda rng: (
+        # three copies of the first c/k = 2 of 4 channels
+        masked(lambda x: T.channel_repeat(x, 2, 3), mask(rng, (2, 6, 3, 3))),
+        [Tensor(rng.normal(size=(2, 4, 3, 3)))],
+    ))
+    check("channel_repeat_one_copy", lambda rng: (
+        masked(lambda x: T.channel_repeat(x, 4, 1), mask(rng, (2, 4, 3, 3))),
+        [Tensor(rng.normal(size=(2, 4, 3, 3)))],
+    ))
+    check("edge_mix", lambda rng: (
+        # two edges of three channels, table rows 2 and 0; row 1 unread
+        masked(lambda a, b, t: T.edge_mix([a, b], t, [2, 0]), mask(rng, (2, 6, 2, 2))),
+        [Tensor(rng.normal(size=(2, 6, 2, 2))), Tensor(rng.normal(size=(2, 6, 2, 2))),
+         Tensor(rng.normal(size=(3, 2)))],
+    ))
+    check("edge_mix_one_edge", lambda rng: (
+        masked(lambda a, b, t: T.edge_mix([a, b], t, [1]), mask(rng, (2, 3, 2, 2))),
+        [Tensor(rng.normal(size=(2, 3, 2, 2))), Tensor(rng.normal(size=(2, 3, 2, 2))),
+         Tensor(rng.normal(size=(3, 2)))],
+    ))
     check("channel_shuffle_subsample", lambda rng: (
         masked(
             lambda x: T.channel_shuffle(x, 2), mask(rng, (1, 4, 4, 4))
@@ -213,7 +234,7 @@ def test_one_hot_consistency():
         alpha = np.full(len(spec_ops), -40.0)
         alpha[selected] = 40.0
         w = T.softmax(Tensor(alpha)).data
-        mixed = edge(x, w_row=Tensor(w)).data
+        mixed = mix_edges([edge], x, Tensor(w[None]), [0]).data
         direct = edge.ops[selected](Tensor(x.data.copy())).data
         assert np.abs(mixed - direct).max() < 1e-8
 

@@ -310,6 +310,33 @@ class TestCli:
         assert why in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind, why", [
+        ("text", "pickled"),
+        ("npy", "one array, not an .npz archive"),
+        ("empty", "No data left in file"),
+    ])
+    def test_eval_rejects_weights_that_are_not_an_npz_archive(
+        self, tmp_path, capsys, kind, why
+    ):
+        d = tiny_config_dict()
+        geno, weights = tmp_path / "g.json", tmp_path / f"w.{kind}"
+        save_random_genotype(d, geno)
+        if kind == "text":
+            weights.write_text("not weights\n")
+        elif kind == "npy":
+            np.save(weights, np.zeros(3))  # the name already ends in .npy
+        else:
+            weights.write_bytes(b"")
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(d))
+        out = tmp_path / "o"
+        assert cli.main(["eval", "--config", str(cfg), "--genotype", str(geno),
+                         "--weights", str(weights), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --weights {weights}: ")
+        assert why in err
+        assert not out.exists()
+
     def test_train_rejects_stored_dataset_with_other_class_count(
         self, tmp_path, capsys
     ):

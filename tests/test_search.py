@@ -342,9 +342,9 @@ class TestSharedScoring:
             backbone_calls.append(x.shape[0])
             return run_backbone(self, x)
 
-        def count_edge(self, x, w_row=None, op=None):
+        def count_edge(self, x, op):
             edge_calls.append((len(backbone_calls), id(self), op))
-            return run_edge(self, x, w_row, op)
+            return run_edge(self, x, op)
 
         monkeypatch.setattr(Backbone, "__call__", count_backbone)
         monkeypatch.setattr(MixedEdge, "__call__", count_edge)

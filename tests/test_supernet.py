@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-from support import supernet_as_discrete_arrays
+from support import per_edge_mixture, supernet_as_discrete_arrays
 
-from mhnes import nn, tensor as T
+from mhnes import convops, losses, nn, tensor as T
 from mhnes.dirichlet import sample_simplex_rows
 from mhnes.space import (
     ModelSpec,
@@ -15,9 +15,11 @@ from mhnes.space import (
 from mhnes.supernet import (
     ArchParams,
     DiscreteNetwork,
+    MixedCell,
     MixedEdge,
     Supernet,
     discretize,
+    mix_edges,
     one_hot_arch,
 )
 from mhnes.tensor import Tape, Tensor, backward
@@ -31,6 +33,12 @@ def copy_matching_params(src_mod, dst_mod):
     dst_mod.load_state_arrays(src_mod.state_arrays())
 
 
+def mixed(edge, x, w):
+    """The output of ``edge`` mixed by weights ``w``: a stack of one edge."""
+    table = Tensor(np.reshape(w, (1, -1)))
+    return edge.join(mix_edges([edge], x, table, [0]), x)
+
+
 class TestMixedEdge:
     def test_weighted_sum_matches_external_oracle(self):
         rng = np.random.default_rng(0)
@@ -40,7 +48,7 @@ class TestMixedEdge:
         alpha = rng.normal(size=3)
         w = np.exp(alpha - alpha.max())
         w /= w.sum()
-        got = edge(x, w_row=Tensor(w)).data
+        got = mixed(edge, x, w).data
         want = sum(
             wi * edge.ops[i](Tensor(x.data.copy())).data for i, wi in enumerate(w)
         )
@@ -54,21 +62,21 @@ class TestMixedEdge:
         alpha = np.full(3, -40.0)
         alpha[1] = 40.0
         w = T.softmax(Tensor(alpha)).data
-        got = edge(x, w_row=Tensor(w)).data
+        got = mixed(edge, x, w).data
         assert np.abs(got - x.data).max() < 1e-8
 
     def test_duplicate_skip_set_uniform_weights_is_identity(self):
         rng = np.random.default_rng(2)
         edge = MixedEdge(rng, ("skip_connect", "skip_connect"), 4, stride=1, k=1)
         x = Tensor(rng.normal(size=(1, 4, 4, 4)))
-        got = edge(x, w_row=Tensor([0.5, 0.5])).data
+        got = mixed(edge, x, [0.5, 0.5]).data
         np.testing.assert_allclose(got, x.data, atol=1e-12)
 
     def test_partial_channels_bypass_and_shuffle(self):
         rng = np.random.default_rng(3)
         edge = MixedEdge(rng, ("skip_connect",), 8, stride=1, k=4)
         x = Tensor(rng.normal(size=(1, 8, 3, 3)))
-        y = edge(x, w_row=Tensor([1.0])).data
+        y = mixed(edge, x, [1.0]).data
         # with only skip in the mixture, output is a channel permutation of x
         assert sorted(y.reshape(-1)) == sorted(x.data.reshape(-1))
 
@@ -78,7 +86,7 @@ class TestMixedEdge:
         rng = np.random.default_rng(6)
         edge = MixedEdge(rng, ("skip_connect",), 8, stride=1, k=4)
         x = Tensor(rng.normal(size=(2, 8, 3, 3)) + 10.0)
-        y = edge(x, w_row=Tensor([0.0])).data
+        y = mixed(edge, x, [0.0]).data
         nonzero = y[:, np.abs(y).sum(axis=(0, 2, 3)) > 0]
         np.testing.assert_array_equal(
             np.sort(nonzero.reshape(-1)), np.sort(x.data[:, 2:].reshape(-1))
@@ -93,7 +101,7 @@ class TestMixedEdge:
         rng = np.random.default_rng(0)
         edge = MixedEdge(rng, ("skip_connect", "avg_pool_3x3"), 4, 1, k=1)
         with pytest.raises(T.ShapeError):
-            edge(Tensor(np.zeros((1, 4, 4, 4))), w_row=Tensor([1.0, 0.0, 0.0]))
+            mixed(edge, Tensor(np.zeros((1, 4, 4, 4))), [1.0, 0.0, 0.0])
 
 
 class TestEdgeCombination:
@@ -192,6 +200,101 @@ class TestSupernetForward:
         net, _ = self._net()
         with pytest.raises(ValueError, match="genotype"):
             net(Tensor(np.zeros((1, 1, 16, 16))), mode="sampled")
+
+
+PLANTED_OPS = ("skip_connect", "batch_mix_a")
+STACK_SPEC = ModelSpec(
+    num_heads=2, cells_per_head=2, head_width=8, backbone_width=8
+)
+
+
+class TestStackedMixture:
+    """The stacked mixture of ``MixedCell`` against the per-edge reference
+    loop, ``support.per_edge_mixture``, on one continuous forward and
+    backward: head probabilities, every weight gradient and every
+    architecture gradient."""
+
+    def _run(self, spec, mode, k, head_ops=None, reference=False, monkeypatch=None):
+        arch = ArchParams(spec, mode, np.random.default_rng(30), head_ops=head_ops)
+        rng = np.random.default_rng(31)
+        for t in arch.tensors():  # away from the uniform start
+            t.data[...] = np.abs(t.data + rng.normal(0.0, 0.5, t.shape)) + 0.1
+        net = Supernet(np.random.default_rng(32), spec, arch, 3, k=k)
+        if reference:
+            run_cell = MixedCell.__call__
+
+            def per_edge(self, x, table=None, betas=None, cell_genotype=None,
+                         shared=None):
+                if table is None:
+                    return run_cell(self, x, table, betas, cell_genotype, shared)
+                return per_edge_mixture(self, x, table, betas)
+
+            monkeypatch.setattr(MixedCell, "__call__", per_edge)
+        data = np.random.default_rng(33)
+        x = data.normal(size=(6, 1, 16, 16))
+        y = data.integers(0, 3, size=6)
+        with T.Tape():
+            probs = net(Tensor(x), rng=np.random.default_rng(34))
+            loss = losses.ensemble_train_loss(probs, losses.ensemble_average(probs), y)
+            backward(loss)
+        grads = [t.grad for t in net.parameters() + arch.tensors()]
+        assert all(g is not None for g in grads)
+        return [p.data for p in probs], grads
+
+    @pytest.mark.parametrize("spec, mode, k, head_ops", [
+        (STACK_SPEC, "drnas", 4, None),
+        (STACK_SPEC, "drnas", 2, None),
+        (STACK_SPEC, "pcdarts", 2, None),
+        (ModelSpec(num_heads=2, cells_per_head=1, head_width=8, backbone_width=8),
+         "plain", 2, None),
+        (STACK_SPEC, "drnas", 2, [STACK_SPEC.ops[:3], STACK_SPEC.ops[2:6]]),
+        (ModelSpec(num_heads=2, cells_per_head=2, ops=PLANTED_OPS,
+                   head_width=8, backbone_width=8), "pcdarts", 2, None),
+    ], ids=["drnas-k4", "drnas-k2", "pcdarts-k2-betas", "reduction-cell-only",
+            "pruned-head-ops", "planted-ops"])
+    def test_equals_per_edge_loop_bitwise(self, monkeypatch, spec, mode, k, head_ops):
+        probs, grads = self._run(spec, mode, k, head_ops)
+        ref_probs, ref_grads = self._run(spec, mode, k, head_ops, True, monkeypatch)
+        for a, b in zip(probs, ref_probs):
+            np.testing.assert_array_equal(a, b)
+        assert len(grads) == len(ref_grads)
+        for a, b in zip(grads, ref_grads):
+            np.testing.assert_array_equal(a, b)
+
+    def test_one_conv_call_per_layer_per_read_state(self, monkeypatch):
+        spec = ModelSpec()
+        calls = []
+        run_conv = convops.conv2d
+
+        def count(*args, **kwargs):
+            calls.append(args[1].shape)
+            return run_conv(*args, **kwargs)
+
+        monkeypatch.setattr(convops, "conv2d", count)
+        arch = ArchParams(spec, "drnas", np.random.default_rng(0))
+        net = Supernet(np.random.default_rng(1), spec, arch, 3)
+        net(Tensor(np.random.default_rng(2).normal(size=(2, 1, 16, 16))))
+        # per cell: 2 preprocessing convs, then the 12 conv layers of the ops
+        # (two sep_convs of 4, two dil_convs of 2) once for each of the 5
+        # states that edges read; the backbone adds a stem and two stride-2
+        # blocks of 3 convs. One call per edge would make 9 * 170 + 7 = 1537.
+        assert (spec.num_heads, spec.cells_per_head, spec.nodes) == (3, 3, 4)
+        assert len(calls) == 9 * (2 + 5 * 12) + 7 == 565
+
+    def test_k1_equals_per_edge_loop_to_the_last_bits(self, monkeypatch):
+        # At K = 1 the ops read the state itself. Stacked, an edge's op
+        # gradients sum first and that sum is added into the state; per edge,
+        # each op's part was added into the state in turn. Outputs stay equal.
+        # The last-bit differences are relative to the summands, so an entry
+        # formed by cancellation can differ by more than 1e-12 of itself; the
+        # absolute part scales 1e-12 by the array's largest entry.
+        probs, grads = self._run(STACK_SPEC, "drnas", 1)
+        ref_probs, ref_grads = self._run(STACK_SPEC, "drnas", 1, None, True, monkeypatch)
+        for a, b in zip(probs, ref_probs):
+            np.testing.assert_array_equal(a, b)
+        assert any(not np.array_equal(a, b) for a, b in zip(grads, ref_grads))
+        for a, b in zip(grads, ref_grads):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
 
 
 # state_arrays() keys of the default DiscreteNetwork of ``test_norm_policy``,
