@@ -31,11 +31,17 @@ there may differ in the last bit.
 
 The per-image sums of the weight gradient are such contiguous dots over
 one image's pixels. Read along the pixels of batch-last columns, einsum
-would add the same terms in another order, so the backward takes them from
-a contiguous [C, K', N, OH*OW] copy of the columns. Only the backward makes
-that copy, so forward-only calls never pay for it. It makes it after the
-column gradient has been scattered into the input gradient and freed, so
-that at most one column-sized temporary is alive at a time.
+would add the same terms in another order, so they read contiguous
+[C, K', N, OH*OW] columns. A recorded conv keeps no columns: the forward
+frees them, and the backward rebuilds them in that layout from the input,
+only when the weight needs a gradient. The rebuild is one ``np.take`` of a
+memoised tap index (``_taps``) from the [C, N*H*W] input plus a zero
+column that every tap in the padding reads; a conv that takes its input
+as its columns rebuilds them with one transpose. It runs after the column
+gradient has been scattered into the input gradient and freed, so that at
+most one column-sized temporary is alive at a time. A recorded pool keeps
+only what its backward reads: the first maximal offset of each window, or
+nothing but the column shape.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tensor import ShapeError, _record, as_tensor
+from .tensor import ShapeError, _record, _recording, as_tensor
 
 
 def conv_out_extent(extent, kernel, stride, padding, dilation):
@@ -90,6 +96,36 @@ def _plan(h, w, kh, kw, stride, padding, dilation):
         for j in kj
     )
     return oh, ow, ki, kj, slices
+
+
+@lru_cache(maxsize=64)
+def _taps(n, h, w, kh, kw, stride, padding, dilation):
+    """Column index [K', N, OH*OW] of every kept tap into the [C, N*H*W + 1]
+    input of ``_rebuild``: image-major, then row and column. A tap in the
+    padding reads index N*H*W, the zero column."""
+    oh, ow, ki, kj, _ = _plan(h, w, kh, kw, stride, padding, dilation)
+    # input row of each (kept row offset, output row), and column likewise
+    r = np.arange(ki.start, ki.stop)[:, None] * dilation + np.arange(oh) * stride
+    s = np.arange(kj.start, kj.stop)[:, None] * dilation + np.arange(ow) * stride
+    r = r[:, None, :, None] - padding  # [ki, 1, oh, 1]
+    s = s[None, :, None, :] - padding  # [1, kj, 1, ow]
+    inside = ((0 <= r) & (r < h) & (0 <= s) & (s < w)).reshape(-1, 1, oh * ow)
+    pixel = (r * w + s).reshape(-1, 1, oh * ow)
+    image = np.arange(n)[:, None] * (h * w)
+    taps = np.where(inside, image + pixel, n * h * w)
+    taps.flags.writeable = False  # one memoised array serves every caller
+    return taps
+
+
+def _rebuild(x, taps):
+    """Columns [C, K', N, OH*OW] of the [N,C,H,W] array ``x`` at ``taps``."""
+    n, c, h, w = x.shape
+    flat = np.empty((c, n * h * w + 1))
+    flat[:, -1] = 0.0
+    flat[:, :-1].reshape(c, n, h, w)[...] = x.transpose(1, 0, 2, 3)
+    # np.take, not flat[:, taps]: the fancy-indexed result is not
+    # C-contiguous, and einsum would then sum in another order
+    return np.take(flat, taps, axis=1)
 
 
 def _pad(x, padding, fill=0.0):
@@ -161,39 +197,46 @@ def conv2d(x, w, stride=1, padding=0, dilation=1, groups=1):
         cols = _im2col(_pad(x.data, padding), slices, oh, ow)
     # group the channel axis: columns [G, cg*K', q], weights [G, cog, cg*K']
     cog, kk = co // groups, cg * nk
-    colsg = cols.reshape(groups, kk, n * p)
+    cols_shape = cols.shape
     wg = w.data[kept].reshape(groups, cog, kk)
-    out = np.einsum("gok,gkq->goq", wg, colsg)
-    out = out.reshape((co,) + cols.shape[-3:]).transpose(to_nchw)
+    out = np.einsum("gok,gkq->goq", wg, cols.reshape(groups, kk, n * p))
+    del cols
+    out = np.ascontiguousarray(out.reshape((co,) + cols_shape[-3:]).transpose(to_nchw))
 
     def fn(g):
-        gq = np.ascontiguousarray(g.transpose(to_q)).reshape(groups, cog, n * p)
-        dcols = np.einsum("gok,goq->gkq", wg, gq).reshape(cols.shape)
-        if direct:
-            dx = np.ascontiguousarray(dcols.transpose(to_nchw))
-        else:
-            dx = _col2im(dcols, x.data.shape, padding, slices)
-        del dcols
-        # per-image partial sums over [.., N, P] operands, then the images
-        # added in order
-        gn, colsn = gq, cols
-        if not direct:
+        dx = dw = None
+        if x.requires_grad:
+            gq = np.ascontiguousarray(g.transpose(to_q)).reshape(groups, cog, n * p)
+            dcols = np.einsum("gok,goq->gkq", wg, gq).reshape(cols_shape)
+            del gq
+            if direct:
+                dx = np.ascontiguousarray(dcols.transpose(to_nchw))
+            else:
+                dx = _col2im(dcols, x.data.shape, padding, slices)
+            del dcols
+        if w.requires_grad:
+            # per-image partial sums over [.., N, P] operands, then the
+            # images added in order
             gn = np.ascontiguousarray(g.transpose(1, 0, 2, 3))
-            colsn = np.ascontiguousarray(
-                cols.reshape(c, nk, p, n).transpose(0, 1, 3, 2)
+            if direct:
+                colsn = np.ascontiguousarray(x.data.transpose(1, 0, 2, 3))
+            else:
+                colsn = _rebuild(
+                    x.data, _taps(n, h, wd, kh, kw, stride, padding, dilation)
+                )
+            part = np.einsum(
+                "gonp,gknp->gokn",
+                gn.reshape(groups, cog, n, p),
+                colsn.reshape(groups, kk, n, p),
             )
-        part = np.einsum(
-            "gonp,gknp->gokn",
-            gn.reshape(groups, cog, n, p),
-            colsn.reshape(groups, kk, n, p),
-        )
-        dw = np.zeros(w.data.shape)
-        dw[kept] = np.cumsum(part, axis=-1)[..., -1].reshape(
-            co, cg, len(ki), len(kj)
-        )
+            del colsn
+            dw = np.zeros(w.data.shape)
+            dw[kept] = np.cumsum(part, axis=-1)[..., -1].reshape(
+                co, cg, len(ki), len(kj)
+            )
         return dx, dw
 
-    return _record(np.ascontiguousarray(out), [x, w], fn, "conv2d")
+    return _record(out, [x, w], fn, "conv2d")
 
 
 def pool2d(kind, x, window=3, stride=1, padding=1):
@@ -205,7 +248,7 @@ def pool2d(kind, x, window=3, stride=1, padding=1):
     window offset in [N, C, K, OH, OW] bit for bit whenever the output has
     more than one pixel; with one pixel that pool summed each window as one
     contiguous vectorized sum, so an average there may differ in the last
-    bit.
+    bit. A max pool that is not recorded computes no argmax.
     """
     if kind not in ("max", "avg"):
         raise ValueError(f"pool2d: unknown kind {kind!r}")
@@ -223,28 +266,39 @@ def pool2d(kind, x, window=3, stride=1, padding=1):
         )
     fill = -np.inf if kind == "max" else 0.0
     cols = _im2col(_pad(x.data, padding, fill), slices, oh, ow)
-
+    cols_shape, area, arg = cols.shape, float(window * window), None
     if kind == "avg":
-        area = float(window * window)
         out = cols.sum(axis=1) / area
-
-        def dcols(g):
-            return np.broadcast_to(g[:, None] / area, cols.shape)
-
     else:
-        arg = cols.argmax(axis=1)[:, None]  # first index on ties
-        out = np.take_along_axis(cols, arg, axis=1)[:, 0]
-
-        def dcols(g):
-            d = np.zeros_like(cols)
-            np.put_along_axis(d, arg, g[:, None], axis=1)
-            return d
+        out = _first_max(cols)
+        if _recording([x]):  # the first maximal offset, for the backward
+            arg = cols.argmax(axis=1)[:, None]
+    del cols
 
     def fn(g):
-        dx = _col2im(dcols(g.transpose(1, 2, 3, 0)), x.data.shape, padding, slices)
-        return (dx,)
+        g = g.transpose(1, 2, 3, 0)
+        if kind == "avg":
+            dcols = np.broadcast_to(g[:, None] / area, cols_shape)
+        else:
+            dcols = np.zeros(cols_shape)
+            np.put_along_axis(dcols, arg, g[:, None], axis=1)
+        return (_col2im(dcols, x.data.shape, padding, slices),)
 
     return _record(np.ascontiguousarray(out.transpose(3, 0, 1, 2)), [x], fn, "pool2d")
+
+
+def _first_max(cols):
+    """Maximum over axis 1, the value of the first maximal entry on ties.
+
+    Only -0.0 and +0.0 tie with different bits; ``np.max`` may return
+    either, so a zero maximum is read from its window's first zero.
+    """
+    top = cols.max(axis=1)
+    tie = top == 0
+    if tie.any():
+        win = np.moveaxis(cols, 1, -1)[tie]  # [windows, K]
+        top[tie] = win[np.arange(len(win)), (win == 0).argmax(axis=1)]
+    return top
 
 
 def normalize_no_affine(x, eps=1e-5):

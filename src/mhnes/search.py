@@ -240,6 +240,7 @@ def drnas_search(bundle, spec: ModelSpec, hp: SearchHyperparams, seed,
         rng, sample_rng=sample_rng, epoch_hook=epoch_hook, phase="search_stage1",
     )
     budget.add("search_stage1", steps, k=hp.partial_k)
+    del net  # stage 2 reads only the stage-1 architecture
 
     head_ops, cols = _prune_head_ops(arch, hp.drnas_keep_ops)
     arch2 = ArchParams(spec, "drnas", rng, head_ops=head_ops)

@@ -34,8 +34,14 @@ class ShapeError(ValueError):
 class Node:
     """One executed operation: inputs, output, and a vjp callback.
 
-    ``fn(g)`` receives the gradient w.r.t. the output and returns one gradient
-    array per input, each freshly allocated.
+    ``fn(g)`` receives the gradient w.r.t. the output and returns one entry
+    per input: a freshly allocated gradient array, or ``None`` for an input
+    whose ``requires_grad`` is false when ``backward`` runs. ``backward``
+    discards the gradient of such an input, so the vjp reads that flag and
+    builds nothing for it; ``None`` for an input that requires a gradient is
+    an error. A vjp may read its inputs' ``data`` instead of keeping copies:
+    nothing mutates a recorded tensor's data between the forward and the
+    backward of its tape.
     """
 
     __slots__ = ("inputs", "fn", "out", "name")
@@ -126,13 +132,18 @@ def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _recording(inputs):
+    """Whether an op on ``inputs`` is recorded: a tape is open and one of
+    them requires a gradient."""
+    return _STATE.tape is not None and any(t.requires_grad for t in inputs)
+
+
 def _record(data, inputs, fn, name):
-    tape = _STATE.tape
-    rg = tape is not None and any(t.requires_grad for t in inputs)
+    rg = _recording(inputs)
     out = Tensor(data, requires_grad=rg)
     if rg:
         node = Node(tuple(inputs), fn, out, name)
-        tape.record(node)
+        _STATE.tape.record(node)
         out._node = node
     return out
 
@@ -142,7 +153,8 @@ def backward(loss):
 
     Walks the open tape in reverse; each node is visited at most once. A
     tensor without a node is a leaf. Leaf gradients accumulate across calls
-    (callers reset with ``grad=None``).
+    (callers reset with ``grad=None``). Each vjp builds gradients only for
+    the inputs that require one (see ``Node``).
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -160,6 +172,11 @@ def backward(loss):
         for t, gt in zip(node.inputs, grads):
             if not t.requires_grad:
                 continue
+            if gt is None:
+                raise RuntimeError(
+                    f"{node.name}: the vjp built no gradient for an input that "
+                    "requires one"
+                )
             if gt.shape != t.data.shape:
                 raise ShapeError(
                     f"{node.name}: gradient shape {gt.shape} != input shape {t.data.shape}"
@@ -200,19 +217,38 @@ def _binary_shapes(a, b, op):
 
 def add(a, b):
     a, b = _binary_shapes(a, b, "add")
-    return _record(a.data + b.data, [a, b], lambda g: (g.copy(), g.copy()), "add")
+
+    def fn(g):
+        return (
+            g.copy() if a.requires_grad else None,
+            g.copy() if b.requires_grad else None,
+        )
+
+    return _record(a.data + b.data, [a, b], fn, "add")
 
 
 def sub(a, b):
     a, b = _binary_shapes(a, b, "sub")
-    return _record(a.data - b.data, [a, b], lambda g: (g.copy(), -g), "sub")
+
+    def fn(g):
+        return (
+            g.copy() if a.requires_grad else None,
+            -g if b.requires_grad else None,
+        )
+
+    return _record(a.data - b.data, [a, b], fn, "sub")
 
 
 def mul(a, b):
     a, b = _binary_shapes(a, b, "mul")
-    return _record(
-        a.data * b.data, [a, b], lambda g: (g * b.data, g * a.data), "mul"
-    )
+
+    def fn(g):
+        return (
+            g * b.data if a.requires_grad else None,
+            g * a.data if b.requires_grad else None,
+        )
+
+    return _record(a.data * b.data, [a, b], fn, "mul")
 
 
 def scale(a, s):
@@ -228,12 +264,15 @@ def linear(x, w, b):
         raise ShapeError(f"linear: incompatible shapes {x.shape} and {w.shape}")
     if b.shape != (w.shape[1],):
         raise ShapeError(f"linear: bias shape {b.shape} != ({w.shape[1]},)")
-    return _record(
-        x.data @ w.data + b.data,
-        [x, w, b],
-        lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)),
-        "linear",
-    )
+
+    def fn(g):
+        return (
+            g @ w.data.T if x.requires_grad else None,
+            x.data.T @ g if w.requires_grad else None,
+            g.sum(axis=0) if b.requires_grad else None,
+        )
+
+    return _record(x.data @ w.data + b.data, [x, w, b], fn, "linear")
 
 
 def relu(x):
@@ -302,12 +341,13 @@ def concat(tensors, axis):
     if not tensors:
         raise ShapeError("concat: empty tensor list")
     sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + sizes).tolist()
+    lead = (slice(None),) * (axis % tensors[0].ndim)
 
     def fn(g):
         return tuple(
-            np.take(g, range(offsets[i], offsets[i + 1]), axis=axis)
-            for i in range(len(tensors))
+            g[lead + (slice(lo, hi),)].copy() if t.requires_grad else None
+            for t, lo, hi in zip(tensors, offsets, offsets[1:])
         )
 
     return _record(
@@ -375,8 +415,12 @@ def weighted_sum(tensors, w):
         out += wi * t.data
 
     def fn(g):
-        gw = np.array([float(np.sum(g * t.data)) for t in tensors])
-        return tuple(g * wi for wi in w.data) + (gw,)
+        gw = None
+        if w.requires_grad:
+            gw = np.array([float(np.sum(g * t.data)) for t in tensors])
+        return tuple(
+            g * wi if t.requires_grad else None for wi, t in zip(w.data, tensors)
+        ) + (gw,)
 
     return _record(out, list(tensors) + [w], fn, "weighted_sum")
 
@@ -438,11 +482,16 @@ def edge_mix(outs, table, rows):
 
     def fn(g):
         g = g.reshape(blocks)
-        gt = np.zeros(table.data.shape)
-        for o, t in enumerate(outs):
-            prod = np.ascontiguousarray((g * t.data.reshape(blocks)).swapaxes(0, 1))
-            gt[rows, o] = prod.reshape(e, -1).sum(axis=1)
-        return tuple((g * wo).reshape(shape) for wo in w) + (gt,)
+        gt = None
+        if table.requires_grad:
+            gt = np.zeros(table.data.shape)
+            for o, t in enumerate(outs):
+                prod = np.ascontiguousarray((g * t.data.reshape(blocks)).swapaxes(0, 1))
+                gt[rows, o] = prod.reshape(e, -1).sum(axis=1)
+        return tuple(
+            (g * wo).reshape(shape) if t.requires_grad else None
+            for wo, t in zip(w, outs)
+        ) + (gt,)
 
     return _record(out.reshape(shape), list(outs) + [table], fn, "edge_mix")
 

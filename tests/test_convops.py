@@ -8,6 +8,8 @@ from support import im2col_conv2d, nchw_pool2d
 
 from mhnes import convops, tensor as T
 from mhnes.convops import conv2d, conv_out_extent, normalize_no_affine, pool2d
+from mhnes.space import ModelSpec
+from mhnes.supernet import Backbone
 from mhnes.tensor import ShapeError, Tensor, grad_check
 
 
@@ -233,6 +235,105 @@ class TestConv2dBitExact:
         assert with_tap <= set(overlap)
 
 
+def closure_arrays(fn):
+    """Every array a vjp closure holds, nested closures included."""
+    found, todo = [], [fn]
+    while todo:
+        for cell in todo.pop().__closure__ or ():
+            v = cell.cell_contents
+            if isinstance(v, np.ndarray):
+                found.append(v)
+            elif callable(v) and getattr(v, "__closure__", None):
+                todo.append(v)
+    return found
+
+
+def spy_einsum(monkeypatch):
+    """Record the subscripts of every np.einsum call from here on."""
+    calls, real = [], np.einsum
+
+    def einsum(subscripts, *operands, **kwargs):
+        calls.append(subscripts)
+        return real(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", einsum)
+    return calls
+
+
+def unreachable(*_args):
+    raise AssertionError("called")
+
+
+class TestRecordedConvKeepsOnlyWhatItsBackwardReads:
+    @pytest.mark.parametrize(
+        "n,c,h,co,groups,k,stride,padding,dilation",
+        WORKLOAD_CONVS.values(),
+        ids=WORKLOAD_CONVS.keys(),
+    )
+    def test_closure_holds_no_column_sized_array(self, n, c, h, co, groups, k,
+                                                 stride, padding, dilation):
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=(n, c, h, h)), requires_grad=True)
+        w = Tensor(rng.normal(size=(co, c // groups, k, k)), requires_grad=True)
+        with T.Tape():
+            out = conv2d(x, w, stride, padding, dilation, groups)
+            held = closure_arrays(out._node.fn)
+        oh, ow, _, _, slices = convops._plan(h, h, k, k, stride, padding, dilation)
+        col_bytes = c * len(slices) * oh * ow * n * 8
+        assert max((a.nbytes for a in held), default=0) < col_bytes
+
+    @pytest.mark.parametrize("shape", ["sep3x3-2x2", "backbone-8x8", "pointwise-4x4"])
+    def test_frozen_weight_builds_no_weight_gradient(self, shape, monkeypatch):
+        n, c, h, co, groups, k, stride, padding, dilation = WORKLOAD_CONVS[shape]
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.normal(size=(n, c, h, h)), requires_grad=True)
+        w = Tensor(rng.normal(size=(co, c // groups, k, k)), requires_grad=True)
+        with T.Tape():
+            out = conv2d(x, w, stride, padding, dilation, groups)
+            g = rng.normal(size=out.shape)
+            want, _ = out._node.fn(g)
+            w.requires_grad = False
+            calls = spy_einsum(monkeypatch)
+            monkeypatch.setattr(convops, "_rebuild", unreachable)
+            dx, dw = out._node.fn(g)
+        assert dw is None and calls == ["gok,goq->gkq"]
+        np.testing.assert_array_equal(dx, want)
+
+    @pytest.mark.parametrize("shape", ["backbone-stem-16x16", "pointwise-4x4"])
+    def test_input_without_gradient_builds_no_input_gradient(self, shape,
+                                                             monkeypatch):
+        n, c, h, co, groups, k, stride, padding, dilation = WORKLOAD_CONVS[shape]
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.normal(size=(n, c, h, h)), requires_grad=True)
+        w = Tensor(rng.normal(size=(co, c // groups, k, k)), requires_grad=True)
+        with T.Tape():
+            out = conv2d(x, w, stride, padding, dilation, groups)
+            g = rng.normal(size=out.shape)
+            _, want = out._node.fn(g)
+            x.requires_grad = False
+            calls = spy_einsum(monkeypatch)
+            monkeypatch.setattr(convops, "_col2im", unreachable)
+            dx, dw = out._node.fn(g)
+        assert dx is None and calls == ["gonp,gknp->gokn"]
+        np.testing.assert_array_equal(dw, want)
+
+    def test_backbone_stem_builds_no_image_gradient(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        backbone = Backbone(rng, ModelSpec(backbone_width=8))
+        images = Tensor(rng.normal(size=(4, 1, 16, 16)))
+        with T.Tape() as tape:
+            feats = backbone(images)
+            stem = next(nd for nd in tape.nodes if nd.inputs[0] is images)
+            convs = sum(nd.name == "conv2d" for nd in tape.nodes)
+            calls = spy_einsum(monkeypatch)
+            T.backward(feats.sum())
+        # every conv builds its weight gradient, all but the stem their dx
+        assert stem.name == "conv2d" and convs > 1
+        assert calls.count("gonp,gknp->gokn") == convs
+        assert calls.count("gok,goq->gkq") == convs - 1
+        assert backbone.stem.weight.grad is not None and images.grad is None
+
+
 class TestPool2d:
     def test_constant_input_preserved(self):
         x = Tensor(np.full((1, 2, 4, 4), 3.5))
@@ -273,6 +374,36 @@ class TestPool2d:
             out = pool2d("max", x, window=2, stride=1, padding=0)
             T.backward(out.sum())
         np.testing.assert_array_equal(x.grad, [[[[1.0, 0.0], [0.0, 0.0]]]])
+
+    @pytest.mark.parametrize("kind", ["max", "avg"])
+    def test_closure_holds_no_column_sized_array(self, kind):
+        n, c, h, stride = 32, 16, 4, 1
+        x = Tensor(np.random.default_rng(6).normal(size=(n, c, h, h)),
+                   requires_grad=True)
+        with T.Tape():
+            out = pool2d(kind, x, 3, stride, 1)
+            held = closure_arrays(out._node.fn)
+        col_bytes = c * 9 * out.shape[2] * out.shape[3] * n * 8
+        assert max((a.nbytes for a in held), default=0) < col_bytes
+        if kind == "avg":
+            assert held == []
+
+    def test_signed_zero_tie_takes_the_first_zero_recorded_or_not(self):
+        # -0.0 == +0.0: the first maximal entry in window order decides the
+        # sign, and the unrecorded forward, which computes no argmax, agrees
+        rng = np.random.default_rng(8)
+        x = rng.choice([-0.0, 0.0, -1.0], size=(3, 2, 5, 5))
+        g = np.ones((3, 2, 5, 5))
+        want, _ = nchw_pool2d("max", x, g, 3, 1, 1)
+        plain = pool2d("max", Tensor(x), 3, 1, 1).data
+        xt = Tensor(x, requires_grad=True)
+        with T.Tape():
+            recorded = pool2d("max", xt, 3, 1, 1).data
+        assert np.any(np.signbit(want) & (want == 0))
+        assert np.any(~np.signbit(want) & (want == 0))
+        for got in (plain, recorded):
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+            np.testing.assert_array_equal(got, want)
 
     def test_nonpositive_output_rejected(self):
         with pytest.raises(ShapeError):

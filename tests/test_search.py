@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -248,6 +249,27 @@ class TestDrnas:
             bundle, TINY, hp, seed=2, epoch_hook=lambda epoch, *_: seen.append(epoch)
         )
         assert seen == [0, 1]
+
+    def test_stage_one_supernet_freed_before_stage_two_is_built(
+        self, bundle, monkeypatch
+    ):
+        # freed by reference counting alone, before stage 2's supernet exists
+        built, alive = [], []
+
+        def tracked(*args, **kwargs):
+            alive.append([ref() is not None for ref in built])
+            net = Supernet(*args, **kwargs)
+            built.append(weakref.ref(net))
+            return net
+
+        monkeypatch.setattr(search, "Supernet", tracked)
+        gc.collect()
+        gc.disable()
+        try:
+            search.drnas_search(bundle, TINY, FAST_HP, seed=3)
+        finally:
+            gc.enable()
+        assert alive == [[], [False]]
 
     def test_concentrations_stay_positive(self, bundle):
         _, _, arch = search.drnas_search(bundle, TINY, FAST_HP, seed=3)

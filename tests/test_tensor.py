@@ -286,6 +286,50 @@ class TestBackwardSemantics:
         assert w.requires_grad and not c.requires_grad
 
 
+def _frozen_input_cases():
+    """(op, inputs) of every engine op with more than one input."""
+    rng = np.random.default_rng(9)
+
+    def arr(*shape):
+        return rng.normal(size=shape)
+
+    return [
+        pytest.param(T.add, [arr(2, 3), arr(2, 3)], id="add"),
+        pytest.param(T.sub, [arr(2, 3), arr(2, 3)], id="sub"),
+        pytest.param(T.mul, [arr(2, 3), arr(2, 3)], id="mul"),
+        pytest.param(T.linear, [arr(2, 3), arr(3, 4), arr(4)], id="linear"),
+        pytest.param(lambda a, b, c: T.concat([a, b, c], axis=1),
+                     [arr(2, 1), arr(2, 3), arr(2, 2)], id="concat"),
+        pytest.param(lambda a, b, w: T.weighted_sum([a, b], w),
+                     [arr(2, 3), arr(2, 3), arr(2)], id="weighted_sum"),
+        pytest.param(lambda a, b, t: T.edge_mix([a, b], t, [2, 0]),
+                     [arr(2, 4, 1, 1), arr(2, 4, 1, 1), arr(3, 2)], id="edge_mix"),
+    ]
+
+
+class TestSkippedGradients:
+    @pytest.mark.parametrize("op,arrays", _frozen_input_cases())
+    def test_frozen_input_gets_none_and_the_rest_are_unchanged(self, op, arrays):
+        for frozen in range(len(arrays)):
+            ts = [Tensor(a, requires_grad=True) for a in arrays]
+            with Tape():
+                out = op(*ts)
+                g = np.random.default_rng(1).normal(size=out.shape)
+                want = out._node.fn(g)
+                ts[frozen].requires_grad = False
+                got = out._node.fn(g)
+            assert got[frozen] is None
+            for i in set(range(len(arrays))) - {frozen}:
+                np.testing.assert_array_equal(got[i], want[i])
+
+    def test_none_for_an_input_that_requires_a_gradient_raises(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with Tape():
+            loss = T._record(x.data * 2.0, [x], lambda g: (None,), "lazy").sum()
+            with pytest.raises(RuntimeError, match="lazy: the vjp built no gradient"):
+                backward(loss)
+
+
 class TestGradCheckHarness:
     def test_quadratic_near_exact(self):
         x = Tensor(np.random.default_rng(0).normal(size=(5,)))
