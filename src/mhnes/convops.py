@@ -18,30 +18,21 @@ offset, stride 1 and an output the size of its input (every 1x1 conv, and a
 'same' conv whose other offsets all fall in padding) takes the [C, N, H, W]
 input as its columns, with no window copy.
 
-Summation order: the output and the input gradient accumulate over (input
-channel, kernel row, kernel column) in that order, whatever the column
-layout, and the weight gradient sums each image's output pixels, then adds
-the images one by one. That is the order of a plain im2col-plus-einsum conv
-over [N, C*kh*kw, OH*OW] columns, and dropping exact-zero terms changes no
-sum, so every result is bit-identical to that reference whenever the output
-has more than one pixel. With a one-pixel output the reference reduced each
-sum as one contiguous vectorized dot, and so it did for the weight gradient
-of a 1x1 conv from one channel to one, over all images at once; results
-there may differ in the last bit.
+A conv's three contractions are ``np.matmul`` products batched over the
+groups, so BLAS chooses the summation order: results are reproducible on
+one machine and numpy/BLAS build, and agree with any other order of the
+same sums to within rounding. OpenBLAS splits a product across threads by
+output blocks, so the thread count changes no bit, except in a product
+that is one dot of over 10000 terms, which it splits: the weight gradient
+of a conv with one input tap and one output channel per group, over more
+than 10000 output pixels in the batch.
 
-The per-image sums of the weight gradient are such contiguous dots over
-one image's pixels. Read along the pixels of batch-last columns, einsum
-would add the same terms in another order, so they read contiguous
-[C, K', N, OH*OW] columns. A recorded conv keeps no columns: the forward
-frees them, and the backward rebuilds them in that layout from the input,
-only when the weight needs a gradient. The rebuild is one ``np.take`` of a
-memoised tap index (``_taps``) from the [C, N*H*W] input plus a zero
-column that every tap in the padding reads; a conv that takes its input
-as its columns rebuilds them with one transpose. It runs after the column
-gradient has been scattered into the input gradient and freed, so that at
-most one column-sized temporary is alive at a time. A recorded pool keeps
-only what its backward reads: the first maximal offset of each window, or
-nothing but the column shape.
+A recorded conv keeps no columns: the forward frees them, and the
+backward, after it has built the input gradient and freed the column
+gradient, gathers them again with the forward's own routine, only when the
+weight needs a gradient. So at most one column-sized temporary is alive at
+a time. A recorded pool keeps only what its backward reads: the first
+maximal offset of each window, or nothing but the column shape.
 """
 
 from __future__ import annotations
@@ -96,36 +87,6 @@ def _plan(h, w, kh, kw, stride, padding, dilation):
         for j in kj
     )
     return oh, ow, ki, kj, slices
-
-
-@lru_cache(maxsize=64)
-def _taps(n, h, w, kh, kw, stride, padding, dilation):
-    """Column index [K', N, OH*OW] of every kept tap into the [C, N*H*W + 1]
-    input of ``_rebuild``: image-major, then row and column. A tap in the
-    padding reads index N*H*W, the zero column."""
-    oh, ow, ki, kj, _ = _plan(h, w, kh, kw, stride, padding, dilation)
-    # input row of each (kept row offset, output row), and column likewise
-    r = np.arange(ki.start, ki.stop)[:, None] * dilation + np.arange(oh) * stride
-    s = np.arange(kj.start, kj.stop)[:, None] * dilation + np.arange(ow) * stride
-    r = r[:, None, :, None] - padding  # [ki, 1, oh, 1]
-    s = s[None, :, None, :] - padding  # [1, kj, 1, ow]
-    inside = ((0 <= r) & (r < h) & (0 <= s) & (s < w)).reshape(-1, 1, oh * ow)
-    pixel = (r * w + s).reshape(-1, 1, oh * ow)
-    image = np.arange(n)[:, None] * (h * w)
-    taps = np.where(inside, image + pixel, n * h * w)
-    taps.flags.writeable = False  # one memoised array serves every caller
-    return taps
-
-
-def _rebuild(x, taps):
-    """Columns [C, K', N, OH*OW] of the [N,C,H,W] array ``x`` at ``taps``."""
-    n, c, h, w = x.shape
-    flat = np.empty((c, n * h * w + 1))
-    flat[:, -1] = 0.0
-    flat[:, :-1].reshape(c, n, h, w)[...] = x.transpose(1, 0, 2, 3)
-    # np.take, not flat[:, taps]: the fancy-indexed result is not
-    # C-contiguous, and einsum would then sum in another order
-    return np.take(flat, taps, axis=1)
 
 
 def _pad(x, padding, fill=0.0):
@@ -186,52 +147,42 @@ def conv2d(x, w, stride=1, padding=0, dilation=1, groups=1):
             f"kernel {kh}x{kw}, stride {stride}, padding {padding}, dilation {dilation}"
         )
     kept = np.s_[:, :, ki.start : ki.stop, kj.start : kj.stop]
-    nk, p = len(slices), oh * ow
     # ``to_q`` takes [N,C,H,W] to the column order of the pixels, q, and
     # ``to_nchw`` takes [C, *q] back
-    if nk == 1 and stride == 1 and (oh, ow) == (h, wd):
+    if len(slices) == 1 and stride == 1 and (oh, ow) == (h, wd):
         direct, to_q, to_nchw = True, (1, 0, 2, 3), (1, 0, 2, 3)
-        cols = np.ascontiguousarray(x.data.transpose(to_q))
     else:
         direct, to_q, to_nchw = False, (1, 2, 3, 0), (3, 0, 1, 2)
-        cols = _im2col(_pad(x.data, padding), slices, oh, ow)
+
+    def columns():
+        """Columns [C, K', *q] of the input, or [C, *q] when direct."""
+        if direct:
+            return np.ascontiguousarray(x.data.transpose(to_q))
+        return _im2col(_pad(x.data, padding), slices, oh, ow)
+
     # group the channel axis: columns [G, cg*K', q], weights [G, cog, cg*K']
-    cog, kk = co // groups, cg * nk
-    cols_shape = cols.shape
+    cols = columns()
+    cols_shape, q = cols.shape, n * oh * ow
+    cog, kk = co // groups, cg * len(slices)
     wg = w.data[kept].reshape(groups, cog, kk)
-    out = np.einsum("gok,gkq->goq", wg, cols.reshape(groups, kk, n * p))
+    out = np.matmul(wg, cols.reshape(groups, kk, q))
     del cols
     out = np.ascontiguousarray(out.reshape((co,) + cols_shape[-3:]).transpose(to_nchw))
 
     def fn(g):
         dx = dw = None
+        gq = np.ascontiguousarray(g.transpose(to_q)).reshape(groups, cog, q)
         if x.requires_grad:
-            gq = np.ascontiguousarray(g.transpose(to_q)).reshape(groups, cog, n * p)
-            dcols = np.einsum("gok,goq->gkq", wg, gq).reshape(cols_shape)
-            del gq
+            dcols = np.matmul(wg.transpose(0, 2, 1), gq).reshape(cols_shape)
             if direct:
                 dx = np.ascontiguousarray(dcols.transpose(to_nchw))
             else:
                 dx = _col2im(dcols, x.data.shape, padding, slices)
             del dcols
         if w.requires_grad:
-            # per-image partial sums over [.., N, P] operands, then the
-            # images added in order
-            gn = np.ascontiguousarray(g.transpose(1, 0, 2, 3))
-            if direct:
-                colsn = np.ascontiguousarray(x.data.transpose(1, 0, 2, 3))
-            else:
-                colsn = _rebuild(
-                    x.data, _taps(n, h, wd, kh, kw, stride, padding, dilation)
-                )
-            part = np.einsum(
-                "gonp,gknp->gokn",
-                gn.reshape(groups, cog, n, p),
-                colsn.reshape(groups, kk, n, p),
-            )
-            del colsn
+            cols = columns().reshape(groups, kk, q)
             dw = np.zeros(w.data.shape)
-            dw[kept] = np.cumsum(part, axis=-1)[..., -1].reshape(
+            dw[kept] = np.matmul(gq, cols.transpose(0, 2, 1)).reshape(
                 co, cg, len(ki), len(kj)
             )
         return dx, dw

@@ -399,7 +399,8 @@ class Supernet(nn.Module):
 
         Supernet norms always use batch statistics, so each example's output
         depends on the other examples of its ``batch``-sized chunk: results
-        change with the chunk size.
+        change with the chunk size. BLAS also picks each product's summation
+        order by its shape, so the last bits depend on ``batch`` too.
         """
         return _predict_chunks(
             lambda x: self.forward(x, mode="discrete", genotype=genotypes),
@@ -470,6 +471,14 @@ class DiscreteNetwork(nn.Module):
     __call__ = forward
 
     def predict(self, images, batch=256):
+        """Per-head probabilities [M, N, C] of the eval-mode forward over
+        ``batch``-sized chunks, without recording.
+
+        Eval-mode norms use running statistics, so an example's output does
+        not depend on the other examples of its chunk, but BLAS picks each
+        product's summation order by its shape: the last bits depend on
+        ``batch``.
+        """
         was_training = self.training
         self.eval()
         out = _predict_chunks(self.forward, images, batch)

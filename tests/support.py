@@ -1,10 +1,12 @@
 """Shared helpers for the test suite."""
 
+import hashlib
 import re
 
 import numpy as np
 
 from mhnes import tensor as T
+from mhnes.convops import conv2d
 
 
 # supernet key of one edge op: (prefix, head, edge, op index, rest)
@@ -50,8 +52,8 @@ def im2col_conv2d(x, w, g, stride=1, padding=0, dilation=1, groups=1):
     """Reference conv: full im2col over every kernel offset, then einsum.
 
     Returns (out, dx, dw) for input ``x``, weight ``w`` and output gradient
-    ``g``; ``mhnes.convops.conv2d`` must match it bit for bit whenever the
-    output has more than one pixel.
+    ``g``; ``mhnes.convops.conv2d`` sums the same terms in another order and
+    must match it to within rounding.
     """
     n, c, h, wd = x.shape
     co, cg, kh, kw = w.shape
@@ -165,3 +167,20 @@ def per_edge_mixture(cell, x, table, betas=None):
                 acc = T.add(acc, o)
             states.append(acc)
     return T.concat(states[2:], axis=1)
+
+
+def conv_digest(cases, seed=0):
+    """sha256 over the output, input gradient and weight gradient of one
+    recorded ``conv2d`` forward and backward per case, a case being
+    (n, c, h, c_out, groups, k, stride, padding, dilation)."""
+    rng = np.random.default_rng(seed)
+    digest = hashlib.sha256()
+    for n, c, h, co, groups, k, stride, padding, dilation in cases:
+        x = T.Tensor(rng.normal(size=(n, c, h, h)), requires_grad=True)
+        w = T.Tensor(rng.normal(size=(co, c // groups, k, k)), requires_grad=True)
+        with T.Tape():
+            out = conv2d(x, w, stride, padding, dilation, groups)
+            T.backward(T.mul(out, T.Tensor(rng.normal(size=out.shape))).sum())
+        for a in (out.data, x.grad, w.grad):
+            digest.update(a.tobytes())
+    return digest.hexdigest()

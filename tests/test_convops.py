@@ -1,10 +1,16 @@
 """Convolution, pooling, and normalization: shapes, values, gradients."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from support import im2col_conv2d, nchw_pool2d
+from support import conv_digest, im2col_conv2d, nchw_pool2d
 
 from mhnes import convops, tensor as T
 from mhnes.convops import conv2d, conv_out_extent, normalize_no_affine, pool2d
@@ -155,6 +161,10 @@ WORKLOAD_CONVS = {
 class TestConv2dBitExact:
     @staticmethod
     def check(shape, co, groups, k, stride, padding, dilation, rng):
+        """Output, input gradient and weight gradient against the im2col
+        reference, each element within 2*n*u*sum|terms|: both sides sum the
+        same n terms, in orders of their own, so each is within n*u*sum|terms|
+        of the exact sum."""
         x = Tensor(rng.normal(size=shape), requires_grad=True)
         w = Tensor(rng.normal(size=(co, shape[1] // groups, k, k)),
                    requires_grad=True)
@@ -162,9 +172,16 @@ class TestConv2dBitExact:
             out = conv2d(x, w, stride, padding, dilation, groups)
             g = rng.normal(size=out.shape)
             T.backward(T.mul(out, Tensor(g)).sum())
-        want = im2col_conv2d(x.data, w.data, g, stride, padding, dilation, groups)
-        for got, ref in zip((out.data, x.grad, w.grad), want):
-            np.testing.assert_array_equal(got, ref)
+        conv = (stride, padding, dilation, groups)
+        want = im2col_conv2d(x.data, w.data, g, *conv)
+        terms = im2col_conv2d(abs(x.data), abs(w.data), abs(g), *conv)
+        # reduction lengths: input taps per output, output taps per input
+        # pixel, output pixels per weight
+        lengths = (shape[1] // groups * k * k, co // groups * k * k, g.size // co)
+        u = np.finfo(np.float64).eps / 2
+        for got, ref, total, n in zip((out.data, x.grad, w.grad), want, terms,
+                                      lengths):
+            assert np.all(abs(got - ref) <= 2 * n * u * total)
 
     @pytest.mark.parametrize(
         "n,c,h,co,groups,k,stride,padding,dilation",
@@ -204,12 +221,29 @@ class TestConv2dBitExact:
                                        p, d, seed):
         oh = conv_out_extent(h, k, s, p, d)
         ow = conv_out_extent(wd, k, s, p, d)
-        assume(oh > 0 and ow > 0 and oh * ow > 1)
-        # a 1x1 conv from one channel to one: the reference sums the weight
-        # gradient over all images as one dot (see the convops docstring)
-        assume((c, c * mult, k) != (1, 1, 1))
+        assume(oh > 0 and ow > 0)
         self.check((n, c, h, wd), c * mult, c if depthwise else 1, k, s, p, d,
                    np.random.default_rng(seed))
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        # BLAS may split a product across threads; each output must still be
+        # summed in one order. A batch-256 dense conv is large enough for
+        # OpenBLAS to use every thread it has.
+        cases = [*WORKLOAD_CONVS.values(), (256, 16, 8, 16, 1, 3, 1, 1, 1)]
+        code = ("import json, sys, support; "
+                "print(support.conv_digest(json.loads(sys.argv[1])))")
+        path = os.pathsep.join([str(Path(__file__).parent),
+                                str(Path(convops.__file__).parents[1])])
+        digests = [
+            subprocess.run(
+                [sys.executable, "-c", code, json.dumps(cases)],
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path),
+                capture_output=True, text=True, check=True, timeout=120,
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert digests[0] == digests[1]
+        assert digests[0].strip() == conv_digest(cases)
 
     @given(
         k=st.sampled_from([1, 3, 5, 7]),
@@ -248,15 +282,17 @@ def closure_arrays(fn):
     return found
 
 
-def spy_einsum(monkeypatch):
-    """Record the subscripts of every np.einsum call from here on."""
-    calls, real = [], np.einsum
+def spy_matmul(monkeypatch):
+    """Record the contracted length of every np.matmul call from here on: the
+    output channels per group for a conv's input-gradient product, the N*OH*OW
+    output pixels for its weight-gradient product."""
+    calls, real = [], np.matmul
 
-    def einsum(subscripts, *operands, **kwargs):
-        calls.append(subscripts)
-        return real(subscripts, *operands, **kwargs)
+    def matmul(a, b, *args, **kwargs):
+        calls.append(np.shape(a)[-1])
+        return real(a, b, *args, **kwargs)
 
-    monkeypatch.setattr(np, "einsum", einsum)
+    monkeypatch.setattr(np, "matmul", matmul)
     return calls
 
 
@@ -293,10 +329,10 @@ class TestRecordedConvKeepsOnlyWhatItsBackwardReads:
             g = rng.normal(size=out.shape)
             want, _ = out._node.fn(g)
             w.requires_grad = False
-            calls = spy_einsum(monkeypatch)
-            monkeypatch.setattr(convops, "_rebuild", unreachable)
+            calls = spy_matmul(monkeypatch)
+            monkeypatch.setattr(convops, "_im2col", unreachable)
             dx, dw = out._node.fn(g)
-        assert dw is None and calls == ["gok,goq->gkq"]
+        assert dw is None and calls == [co // groups]
         np.testing.assert_array_equal(dx, want)
 
     @pytest.mark.parametrize("shape", ["backbone-stem-16x16", "pointwise-4x4"])
@@ -311,10 +347,10 @@ class TestRecordedConvKeepsOnlyWhatItsBackwardReads:
             g = rng.normal(size=out.shape)
             _, want = out._node.fn(g)
             x.requires_grad = False
-            calls = spy_einsum(monkeypatch)
+            calls = spy_matmul(monkeypatch)
             monkeypatch.setattr(convops, "_col2im", unreachable)
             dx, dw = out._node.fn(g)
-        assert dx is None and calls == ["gonp,gknp->gokn"]
+        assert dx is None and calls == [g.size // co]
         np.testing.assert_array_equal(dw, want)
 
     def test_backbone_stem_builds_no_image_gradient(self, monkeypatch):
@@ -324,13 +360,15 @@ class TestRecordedConvKeepsOnlyWhatItsBackwardReads:
         with T.Tape() as tape:
             feats = backbone(images)
             stem = next(nd for nd in tape.nodes if nd.inputs[0] is images)
-            convs = sum(nd.name == "conv2d" for nd in tape.nodes)
-            calls = spy_einsum(monkeypatch)
+            convs = [nd for nd in tape.nodes if nd.name == "conv2d"]
+            calls = spy_matmul(monkeypatch)
             T.backward(feats.sum())
-        # every conv builds its weight gradient, all but the stem their dx
-        assert stem.name == "conv2d" and convs > 1
-        assert calls.count("gonp,gknp->gokn") == convs
-        assert calls.count("gok,goq->gkq") == convs - 1
+        # every conv builds its weight gradient, all but the stem their dx;
+        # the backbone's convs are dense, 8 channels out
+        pixels = sorted(nd.out.data.size // 8 for nd in convs)
+        assert stem.name == "conv2d" and len(convs) > 1 and min(pixels) > 8
+        assert sorted(c for c in calls if c != 8) == pixels
+        assert calls.count(8) == len(convs) - 1
         assert backbone.stem.weight.grad is not None and images.grad is None
 
 

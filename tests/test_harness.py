@@ -141,7 +141,7 @@ class TestRunArtifacts:
     def test_nonfinite_loss_names_its_step_in_the_manifest(self, tmp_path):
         d = tiny_config_dict(out=str(tmp_path / "nan"), seeds=(0,))
         d["train"]["lr"] = 1e300
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
             out = runner.run(ExperimentConfig.from_dict(d))
         error = json.loads((out / "seed_0" / "manifest.json").read_text())["error"]
         assert error.startswith("FloatingPointError")
