@@ -201,6 +201,11 @@ class ExperimentConfig:
         _check(len(self.seeds) >= 1, "seeds", "must list at least one seed")
         _check(min(self.seeds) >= 0, "seeds", "must be non-negative integers")
         _check(self.pool_size >= 1, "pool_size", "must be >= 1")
+        if self.method in ("nes_rs", "hyperdeepens_rs"):
+            m = self.model.num_heads
+            _check(self.pool_size >= m, "pool_size",
+                   f"{self.method} selects model.num_heads={m} distinct pool "
+                   f"members, so pool_size must be >= {m}, got {self.pool_size}")
         for name in ("partial_k", "drnas_stage2_k"):
             k = getattr(self.search, name)
             _check(self.model.head_width % k == 0, f"search.{name}",

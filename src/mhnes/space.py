@@ -8,9 +8,10 @@ by all cells of a head, reduction and normal alike.
 
 ``OP_BUILDERS`` names the candidate operations: the seven DARTS-style ops of
 ``DEFAULT_OPS`` plus ``batch_mix_a``, a label-destroying op for search tasks
-with a planted best operation. Each op class writes its layer sequence once;
-its forward runs one op, and ``stacked`` runs E ops of the class in one call
-on E copies of their input stacked along channels.
+with a planted best operation. Each op class writes its layer sequence once,
+as its ``forward``. That forward runs one op, or, with a ``StackedOps`` as
+``self``, E ops of the class in one call on E copies of their input stacked
+along channels.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -197,14 +199,14 @@ class StackedOps:
     """E candidate operations of one class run as one, on an input that
     holds E copies of an edge input along channels: op e runs on copy e.
 
-    An op class writes its layer sequence once, as ``sequence(m, x)``, and
-    both its forward (``m`` the op) and ``stacked`` (``m`` a ``StackedOps``)
-    run it. Here a conv attribute names the E ops' convs run as one conv
-    with E times the groups and the E weights concatenated: a depthwise conv
-    stays depthwise and a pointwise conv becomes grouped. A norm attribute
-    normalizes each channel by itself, as the untracked norms of a supernet
-    do. Any other attribute, such as a pool's kind or stride, is the first
-    op's; all E share it. ReLUs, pools, skips and the batch roll work per
+    The op class's own ``forward`` runs with a ``StackedOps`` as ``self``.
+    A conv attribute is then a stand-in conv, run through
+    ``nn.Conv2d.forward``, with the E ops' weights concatenated, E times the
+    groups and the first conv's stride, padding and dilation: a depthwise
+    conv stays depthwise and a pointwise conv becomes grouped. Any other
+    attribute is the first op's; all E share it. That covers a pool's kind
+    or stride and a norm: a supernet norm is untracked and normalizes each
+    channel by itself. ReLUs, pools, skips and the batch roll work per
     channel, so they run on the stacked input as they are.
     """
 
@@ -213,30 +215,21 @@ class StackedOps:
 
     def __getattr__(self, name):
         first = getattr(self.ops[0], name)
-        if isinstance(first, nn.Conv2d):
-            w = T.concat([getattr(op, name).weight for op in self.ops], axis=0)
-            return lambda x: convops.conv2d(
-                x, w, first.stride, first.padding, first.dilation,
-                first.groups * len(self.ops),
-            )
-        if isinstance(first, nn.Norm):
-            return lambda x: convops.normalize_no_affine(x, nn.Norm.EPS)
-        return first
-
-
-def stacked(ops, x):
-    """One call of the E same-class ops ``ops`` on E stacked copies of their
-    input (see ``StackedOps``); op e's output is channel block e."""
-    return type(ops[0]).sequence(StackedOps(ops), x)
+        if not isinstance(first, nn.Conv2d):
+            return first
+        conv = SimpleNamespace(
+            weight=T.concat([getattr(op, name).weight for op in self.ops], axis=0),
+            stride=first.stride,
+            padding=first.padding,
+            dilation=first.dilation,
+            groups=first.groups * len(self.ops),
+        )
+        return lambda x: nn.Conv2d.forward(conv, x)
 
 
 class Identity(nn.Module):
-    @staticmethod
-    def sequence(m, x):
-        return x
-
     def forward(self, x):
-        return self.sequence(self, x)
+        return x
 
     __call__ = forward
 
@@ -244,12 +237,8 @@ class Identity(nn.Module):
 class SubsampleSkip(nn.Module):
     """Stride-2 realization of skip_connect: spatial subsampling."""
 
-    @staticmethod
-    def sequence(m, x):
-        return T.subsample2(x)
-
     def forward(self, x):
-        return self.sequence(self, x)
+        return T.subsample2(x)
 
     __call__ = forward
 
@@ -267,13 +256,9 @@ class SepConv(nn.Module):
         self.pw2 = nn.Conv2d(rng, c, c, 1)
         self.n2 = nn.Norm(c)
 
-    @staticmethod
-    def sequence(m, x):
-        x = m.n1(m.pw1(m.dw1(T.relu(x))))
-        return m.n2(m.pw2(m.dw2(T.relu(x))))
-
     def forward(self, x):
-        return self.sequence(self, x)
+        x = self.n1(self.pw1(self.dw1(T.relu(x))))
+        return self.n2(self.pw2(self.dw2(T.relu(x))))
 
     __call__ = forward
 
@@ -288,12 +273,8 @@ class DilConv(nn.Module):
         self.pw = nn.Conv2d(rng, c, c, 1)
         self.n = nn.Norm(c)
 
-    @staticmethod
-    def sequence(m, x):
-        return m.n(m.pw(m.dw(T.relu(x))))
-
     def forward(self, x):
-        return self.sequence(self, x)
+        return self.n(self.pw(self.dw(T.relu(x))))
 
     __call__ = forward
 
@@ -304,12 +285,8 @@ class PoolOp(nn.Module):
         self.kind = kind
         self.stride = stride
 
-    @staticmethod
-    def sequence(m, x):
-        return convops.pool2d(m.kind, x, window=3, stride=m.stride, padding=1)
-
     def forward(self, x):
-        return self.sequence(self, x)
+        return convops.pool2d(self.kind, x, window=3, stride=self.stride, padding=1)
 
     __call__ = forward
 
@@ -325,9 +302,8 @@ class BatchMix(nn.Module):
         super().__init__()
         self.stride = stride
 
-    @staticmethod
-    def sequence(m, x):
-        if m.stride == 2:
+    def forward(self, x):
+        if self.stride == 2:
             x = T.subsample2(x)
         n = x.data.shape[0]
         shift = max(1, n // 2) if n > 1 else 0
@@ -337,9 +313,6 @@ class BatchMix(nn.Module):
             lambda g: (np.roll(g, -shift, axis=0),),
             "batch_mix",
         )
-
-    def forward(self, x):
-        return self.sequence(self, x)
 
     __call__ = forward
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import nn, tensor as T
 from .dirichlet import row_normalize, sample_simplex_rows
-from .space import ModelSpec, MultiHeadGenotype, NodeChoice, build_op, stacked
+from .space import ModelSpec, MultiHeadGenotype, NodeChoice, StackedOps, build_op
 from .tensor import Tensor
 
 ARCH_MODES = ("plain", "pcdarts", "drnas")
@@ -161,13 +161,15 @@ def mix_edges(edges, x, table, rows):
     per candidate op.
 
     Edge e's ops run on copy e of x's op-path channels (``channel_repeat``),
-    each op once for all edges (``space.stacked``), and ``table`` row
-    ``rows[e]`` mixes edge e's outputs (``edge_mix``). Returns [N, E*c/K,
-    H', W'], edge e's mixture in channel block e.
+    each op once for all edges (its class's ``forward`` with a ``StackedOps``
+    as ``self``), and ``table`` row ``rows[e]`` mixes edge e's outputs
+    (``edge_mix``). Returns [N, E*c/K, H', W'], edge e's mixture in channel
+    block e.
     """
     first = edges[0]
     xs = T.channel_repeat(x, first.c // first.k, len(edges))
-    outs = [stacked(ops, xs) for ops in zip(*(edge.ops for edge in edges))]
+    per_op = zip(*(edge.ops for edge in edges))
+    outs = [type(ops[0]).forward(StackedOps(ops), xs) for ops in per_op]
     return T.edge_mix(outs, table, rows)
 
 

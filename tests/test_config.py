@@ -42,7 +42,7 @@ HAND_BUILT_WRONG_TYPES = [
 
 # a run small enough to finish quickly if a bad value got through
 SMALL_RUN = {
-    "method": "nes_rs", "seeds": [0], "pool_size": 1,
+    "method": "nes_rs", "seeds": [0], "pool_size": 3,
     "data": {"n_train": 8, "n_val": 4, "n_test": 4},
     "train": {"epochs": 1, "batch": 8},
 }
@@ -100,6 +100,21 @@ class TestValidation:
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="seeds"):
             ExperimentConfig.from_dict({"seeds": [-1]})
+
+    @pytest.mark.parametrize("method", ["nes_rs", "hyperdeepens_rs"])
+    def test_selecting_pool_must_fill_every_head(self, tmp_path, capsys, method):
+        out = tmp_path / "run"
+        d = {**SMALL_RUN, "method": method, "pool_size": 2, "out_dir": str(out)}
+        error = (rf"^pool_size: {method} selects model\.num_heads=3 distinct pool "
+                 r"members, so pool_size must be >= 3, got 2$")
+        with pytest.raises(ConfigError, match=error):
+            ExperimentConfig.from_dict(d)
+        (tmp_path / "c.json").write_text(json.dumps(d))
+        assert cli.main(["baseline", "--config", str(tmp_path / "c.json")]) == 1
+        assert "model.num_heads=3" in capsys.readouterr().err
+        assert not out.exists()
+        ExperimentConfig.from_dict({**d, "pool_size": 3})
+        ExperimentConfig.from_dict({**d, "method": "deepens_rs"})
 
     @pytest.mark.parametrize("path,value", WRONG_TYPES)
     def test_wrong_type_rejected_with_its_path(self, tmp_path, capsys, path, value):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from support import per_edge_mixture, supernet_as_discrete_arrays
 
-from mhnes import convops, losses, nn, tensor as T
+from mhnes import convops, losses, nn, space, tensor as T
 from mhnes.dirichlet import sample_simplex_rows
 from mhnes.space import (
     ModelSpec,
@@ -280,6 +280,38 @@ class TestStackedMixture:
         # blocks of 3 convs. One call per edge would make 9 * 170 + 7 = 1537.
         assert (spec.num_heads, spec.cells_per_head, spec.nodes) == (3, 3, 4)
         assert len(calls) == 9 * (2 + 5 * 12) + 7 == 565
+
+    def test_stacked_ops_run_the_classes_own_forwards(self, monkeypatch):
+        # Counted as the benchmark tracer counts layers: by wrapping
+        # ``forward`` and its ``__call__`` alias on each class.
+        spec = ModelSpec()
+        counts = {}
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(convops, "conv2d", counting("conv2d", convops.conv2d))
+        for cls in (nn.Conv2d, space.Identity, space.SubsampleSkip, space.SepConv,
+                    space.DilConv, space.PoolOp, space.BatchMix):
+            counted = counting(cls.__name__, cls.forward)
+            monkeypatch.setattr(cls, "forward", counted)
+            monkeypatch.setattr(cls, "__call__", counted)
+        arch = ArchParams(spec, "drnas", np.random.default_rng(0))
+        net = Supernet(np.random.default_rng(1), spec, arch, 3)
+        net(Tensor(np.random.default_rng(2).normal(size=(2, 1, 16, 16))))
+        # each op class runs once per read state of each cell and candidate
+        # op of the class; a first cell's two inputs feed stride-2 edges,
+        # whose skip_connect is a SubsampleSkip
+        reads = spec.num_heads * spec.cells_per_head * (spec.nodes + 1)
+        strided = spec.num_heads * 2
+        assert counts == {
+            "conv2d": 565, "Conv2d": 565,
+            "SepConv": 2 * reads, "DilConv": 2 * reads, "PoolOp": 2 * reads,
+            "Identity": reads - strided, "SubsampleSkip": strided,
+        }
 
     def test_k1_equals_per_edge_loop_to_the_last_bits(self, monkeypatch):
         # At K = 1 the ops read the state itself. Stacked, an edge's op

@@ -168,14 +168,16 @@ class TestReductionsAndShapes:
         )
         assert err < 1e-6
 
-    def test_channel_shuffle_is_permutation_and_inverts(self):
+    @pytest.mark.parametrize("groups", [4, 1])
+    def test_channel_shuffle_is_permutation_and_inverts(self, groups):
         rng = np.random.default_rng(4)
         x = Tensor(rng.normal(size=(2, 8, 3, 3)))
-        y = T.channel_shuffle(x, 4)
+        y = T.channel_shuffle(x, groups)
         assert sorted(y.data.reshape(-1)) == sorted(x.data.reshape(-1))
+        assert np.array_equal(y.data, x.data) == (groups == 1)
         assert grad_check(
             lambda x: T.mul(
-                T.channel_shuffle(x, 4), Tensor(np.ones((2, 8, 3, 3)))
+                T.channel_shuffle(x, groups), Tensor(np.ones((2, 8, 3, 3)))
             ).mean(),
             [x],
         ) < 1e-7
