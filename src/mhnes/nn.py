@@ -109,6 +109,38 @@ class Conv2d(Module):
             groups,
         )
 
+    @classmethod
+    def stack(cls, convs):
+        """One conv that runs the E ``convs`` at once, on E inputs stacked
+        along channels: their weights concatenated along output channels, E
+        times the groups, and the first conv's stride, padding and dilation.
+        So a depthwise conv stays depthwise and a pointwise conv becomes
+        grouped.
+
+        The stack then holds the only copy of the weights. Each of ``convs``
+        reads its block of them through a view, a leaf of its own that
+        ``parameters`` and ``state_arrays`` do not list: a block of axis 0 is
+        contiguous, so reading it copies nothing and records nothing. The
+        stack's ``weight_blocks`` lists those views in order.
+        """
+        first = convs[0]
+        out = cls.__new__(cls)
+        Module.__init__(out)
+        out.weight = Tensor(
+            np.concatenate([conv.weight.data for conv in convs]), requires_grad=True
+        )
+        out.stride, out.padding, out.dilation = first.stride, first.padding, first.dilation
+        out.groups = first.groups * len(convs)
+        rows = first.weight.shape[0]
+        out.weight_blocks = [
+            Tensor(out.weight.data[e * rows : (e + 1) * rows], requires_grad=True)
+            for e in range(len(convs))
+        ]
+        for conv, block in zip(convs, out.weight_blocks):
+            del conv._params["weight"]
+            object.__setattr__(conv, "weight", block)
+        return out
+
     def forward(self, x):
         return convops.conv2d(
             x, self.weight, self.stride, self.padding, self.dilation, self.groups

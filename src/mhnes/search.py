@@ -294,7 +294,7 @@ def randomnas_search(bundle, spec: ModelSpec, hp: SearchHyperparams, seed,
     arch = ArchParams(spec, "plain", rng)
     net = Supernet(rng, spec, arch, bundle.classes, k=1)
     w_opt = SGD(
-        net.parameters(),
+        net.sampled_parameters(),
         lr=hp.weight_lr,
         momentum=hp.weight_momentum,
         weight_decay=hp.weight_decay,

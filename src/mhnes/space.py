@@ -9,17 +9,18 @@ by all cells of a head, reduction and normal alike.
 ``OP_BUILDERS`` names the candidate operations: the seven DARTS-style ops of
 ``DEFAULT_OPS`` plus ``batch_mix_a``, a label-destroying op for search tasks
 with a planted best operation. Each op class writes its layer sequence once,
-as its ``forward``. That forward runs one op, or, with a ``StackedOps`` as
-``self``, E ops of the class in one call on E copies of their input stacked
-along channels.
+as its ``forward``. That forward runs one op, or, on a ``stack`` of E ops of
+the class, all E in one call on E copies of their input stacked along
+channels. A stack's conv layers hold the E ops' weights as one array, and
+each of the E ops reads its block of it.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -64,6 +65,15 @@ class ModelSpec:
         """Index range of node j's incoming edges within the flat edge list."""
         start = j * (j + 3) // 2
         return start, start + j + 2
+
+    def state_readers(self, i):
+        """Flat indices of the edges that read cell state ``i`` (0 and 1 are
+        the inputs, ``i + 2`` is node i's output): those into nodes
+        ``nodes - 1`` down to ``max(i - 1, 0)``, in that order."""
+        return [
+            self.node_edge_range(j)[0] + i
+            for j in range(self.nodes - 1, max(i - 1, 0) - 1, -1)
+        ]
 
 
 @dataclass(frozen=True)
@@ -195,36 +205,27 @@ def hamming(a: MultiHeadGenotype, b: MultiHeadGenotype) -> int:
 # candidate operations
 
 
-class StackedOps:
-    """E candidate operations of one class run as one, on an input that
-    holds E copies of an edge input along channels: op e runs on copy e.
+def stack(ops):
+    """One op of ``ops[0]``'s class that runs the E ``ops`` at once, on an
+    input that holds E copies of their input along channels: op e runs on
+    copy e.
 
-    The op class's own ``forward`` runs with a ``StackedOps`` as ``self``.
-    A conv attribute is then a stand-in conv, run through
-    ``nn.Conv2d.forward``, with the E ops' weights concatenated, E times the
-    groups and the first conv's stride, padding and dilation: a depthwise
-    conv stays depthwise and a pointwise conv becomes grouped. Any other
-    attribute is the first op's; all E share it. That covers a pool's kind
-    or stride and a norm: a supernet norm is untracked and normalizes each
-    channel by itself. ReLUs, pools, skips and the batch roll work per
-    channel, so they run on the stacked input as they are.
+    Its conv layers are the E ops' layers stacked (``nn.Conv2d.stack``), after
+    which each op reads its block of their weights. Any other attribute is the
+    first op's; all E share it. That covers a pool's kind or stride and a
+    norm: a supernet norm is untracked and normalizes each channel by itself.
+    ReLUs, pools, skips and the batch roll work per channel, so the class's
+    own ``forward`` runs the stack as it runs one op.
     """
-
-    def __init__(self, ops):
-        self.ops = ops
-
-    def __getattr__(self, name):
-        first = getattr(self.ops[0], name)
-        if not isinstance(first, nn.Conv2d):
-            return first
-        conv = SimpleNamespace(
-            weight=T.concat([getattr(op, name).weight for op in self.ops], axis=0),
-            stride=first.stride,
-            padding=first.padding,
-            dilation=first.dilation,
-            groups=first.groups * len(self.ops),
-        )
-        return lambda x: nn.Conv2d.forward(conv, x)
+    first = ops[0]
+    out = copy.copy(first)
+    object.__setattr__(out, "_params", {})
+    object.__setattr__(out, "_children", {})
+    for name, child in first._children.items():
+        if isinstance(child, nn.Conv2d):
+            child = nn.Conv2d.stack([op._children[name] for op in ops])
+        setattr(out, name, child)
+    return out
 
 
 class Identity(nn.Module):

@@ -18,6 +18,16 @@ op layer once per state that edges read (5 at 4 nodes), not once per edge
 running each edge by itself; at K = 1 gradients can differ in the last bit
 (see ``MixedCell.forward``).
 
+The supernet stores its edge weights in that stacked layout. Each (cell,
+read state, candidate op) owns one op module whose conv layers hold all the
+state's edges' weights, ``[E*c/K, ...]`` arrays under the state-array names
+``heads.h.cells.l.stacks.i.o.<layer>.weight`` (state i, op index o). The
+weights are drawn per edge, edge by edge as a network whose edges own their
+weights draws them, then stacked. An edge's own op modules read their blocks
+of the stacks; the sampled and discrete passes run those. A
+``DiscreteNetwork`` keeps one array per edge and layer, under
+``heads.h.cells.l.edges.e.ops.0.<layer>.weight``.
+
 A discrete forward scores a list of genotypes in one pass. The backbone and
 each head's first-cell input states do not depend on the genotype, nor do the
 first cell's edges that read those states (stride-2 reductions on the largest
@@ -32,7 +42,7 @@ import numpy as np
 
 from . import nn, tensor as T
 from .dirichlet import row_normalize, sample_simplex_rows
-from .space import ModelSpec, MultiHeadGenotype, NodeChoice, StackedOps, build_op
+from .space import ModelSpec, MultiHeadGenotype, NodeChoice, build_op, stack
 from .tensor import Tensor
 
 ARCH_MODES = ("plain", "pcdarts", "drnas")
@@ -124,6 +134,9 @@ class MixedEdge(nn.Module):
     With partial-channel factor K > 1 only the first c/K channels (the op
     path) go through the op; the rest bypass it, subsampled at stride 2,
     and a channel shuffle interleaves the two (``join``).
+
+    In a supernet each op's conv layers read their blocks of the cell's
+    stacks (``space.stack``); a discrete network's edge owns its weights.
     """
 
     def __init__(self, rng, ops, c, stride, k=1):
@@ -146,31 +159,27 @@ class MixedEdge(nn.Module):
 
     __call__ = forward
 
-    def join(self, y, x):
-        """The edge's output from its op-path result ``y`` and its input ``x``."""
+    def join(self, y, x, start=0):
+        """The edge's output from its op-path result, channels [start,
+        start + c/K) of ``y``, and its input ``x``: at K > 1 one
+        ``partial_join`` with x's bypass channels."""
         if self.k == 1:
-            return y
-        c1 = self.c // self.k
-        x2 = T.narrow(x, 1, c1, self.c - c1)
-        y2 = T.subsample2(x2) if self.stride == 2 else x2
-        return T.channel_shuffle(T.concat([y, y2], axis=1), self.k)
+            return T.narrow(y, 1, start, self.c)
+        return T.partial_join(y, start, x, self.k, self.stride)
 
 
-def mix_edges(edges, x, table, rows):
-    """Op-path mixtures of ``edges``, which all read ``x``, with one call
-    per candidate op.
+def mix_edges(ops, x, width, table, rows):
+    """Op-path mixtures of the E edges of ``table`` rows ``rows``, which all
+    read ``x``, with one call per candidate op.
 
-    Edge e's ops run on copy e of x's op-path channels (``channel_repeat``),
-    each op once for all edges (its class's ``forward`` with a ``StackedOps``
-    as ``self``), and ``table`` row ``rows[e]`` mixes edge e's outputs
-    (``edge_mix``). Returns [N, E*c/K, H', W'], edge e's mixture in channel
-    block e.
+    ``ops`` holds one op per candidate op, each a ``space.stack`` of the E
+    edges' ops (a single edge's op is its own stack). Edge e's ops run on
+    copy e of x's first ``width`` channels (``channel_repeat``), and row
+    ``rows[e]`` mixes edge e's outputs (``edge_mix``). Returns
+    [N, E*width, H', W'], edge e's mixture in channel block e.
     """
-    first = edges[0]
-    xs = T.channel_repeat(x, first.c // first.k, len(edges))
-    per_op = zip(*(edge.ops for edge in edges))
-    outs = [type(ops[0]).forward(StackedOps(ops), xs) for ops in per_op]
-    return T.edge_mix(outs, table, rows)
+    xs = T.channel_repeat(x, width, len(rows))
+    return T.edge_mix([op(xs) for op in ops], table, rows)
 
 
 class MixedCell(nn.Module):
@@ -179,9 +188,14 @@ class MixedCell(nn.Module):
     A supernet cell puts the head's whole operation list on every edge; a
     discrete cell puts the one chosen operation on each chosen edge and none
     on the others.
+
+    ``stacked`` (the supernet's cells) stacks the weights at construction:
+    ``stacks[i][o]`` is the ``space.stack`` of op o of the edges that read
+    state i, in ``spec.state_readers(i)`` order, and owns their weights.
     """
 
-    def __init__(self, rng, spec: ModelSpec, edge_ops, c_in, reduction, k=1):
+    def __init__(self, rng, spec: ModelSpec, edge_ops, c_in, reduction, k=1,
+                 stacked=False):
         super().__init__()
         self.spec = spec
         self.width = spec.head_width // k
@@ -191,6 +205,14 @@ class MixedCell(nn.Module):
         for (i, _j), ops in zip(spec.edges(), edge_ops):
             stride = 2 if (reduction and i < 2) else 1
             self.edges.append(MixedEdge(rng, ops, c, stride, k))
+        if stacked:
+            self.stacks = nn.ModuleList(
+                nn.ModuleList(
+                    stack(ops) for ops in
+                    zip(*(self.edges[e].ops for e in spec.state_readers(i)))
+                )
+                for i in range(spec.nodes + 1)
+            )
 
     def forward(self, x, table=None, betas=None, cell_genotype=None, shared=None):
         """Mixture forward when ``table`` is given, masked single-op forward
@@ -198,9 +220,10 @@ class MixedCell(nn.Module):
 
         The mixture runs stacked: as soon as a state exists (the two
         inputs, then each node's output), ``mix_edges`` runs every edge that
-        reads it, stacked in descending node order, so each candidate op is
-        called once per state rather than once per edge. Each node then
-        takes its edges' blocks, and ``MixedEdge.join`` adds the bypass.
+        reads it on the state's stacks, in descending node order, so each
+        candidate op is called once per state rather than once per edge.
+        Each node then takes its edges' blocks, and ``MixedEdge.join`` adds
+        the bypass.
         Outputs equal those of running each edge by itself. So do gradients
         at K > 1, where each edge reads a narrow of its state, as before.
         At K = 1 the state feeds the ops directly: each edge's op gradients
@@ -238,9 +261,7 @@ class MixedCell(nn.Module):
             start, stop = self.spec.node_edge_range(j)
             block = (nodes - 1 - j) * self.width  # node j's block in each stack
             outs = [
-                self.edges[start + i].join(
-                    T.narrow(mixed[i], 1, block, self.width), states[i]
-                )
+                self.edges[start + i].join(mixed[i], states[i], block)
                 for i in range(j + 2)
             ]
             if betas is not None:
@@ -258,15 +279,12 @@ class MixedCell(nn.Module):
     __call__ = forward
 
     def _mix_from(self, states, i, table):
-        """``mix_edges`` over the edges that read state ``i``: those into
-        nodes ``nodes - 1`` down to ``max(i - 1, 0)``, in that order, so
-        that ``backward`` adds their gradients into the state in the order
-        that per-edge runs recorded in reverse would."""
-        rows = [
-            self.spec.node_edge_range(j)[0] + i
-            for j in range(self.spec.nodes - 1, max(i - 1, 0) - 1, -1)
-        ]
-        return mix_edges([self.edges[e] for e in rows], states[i], table, rows)
+        """``mix_edges`` over the edges that read state ``i``. They stack in
+        descending node order (``spec.state_readers``), so that ``backward``
+        adds their gradients into the state in the order that per-edge runs
+        recorded in reverse would."""
+        return mix_edges(self.stacks[i], states[i], self.width, table,
+                         self.spec.state_readers(i))
 
 
 # The benchmark's tracer (perfbench/child.py) wraps ``supernet.DiscreteCell``.
@@ -319,12 +337,12 @@ class Backbone(nn.Module):
 
 
 class _HeadStack(nn.Module):
-    def __init__(self, rng, spec, edge_ops, num_classes, k):
+    def __init__(self, rng, spec, edge_ops, num_classes, k, stacked=False):
         super().__init__()
         c_in = spec.backbone_width
         cells = []
         for ci in range(spec.cells_per_head):
-            cells.append(MixedCell(rng, spec, edge_ops, c_in, ci == 0, k))
+            cells.append(MixedCell(rng, spec, edge_ops, c_in, ci == 0, k, stacked))
             c_in = spec.nodes * spec.head_width
         self.cells = nn.ModuleList(cells)
         self.classifier = nn.Linear(rng, c_in, num_classes)
@@ -341,7 +359,12 @@ class _HeadStack(nn.Module):
 
 
 class Supernet(nn.Module):
-    """Backbone + M mixed-operation heads driven by an ArchParams reference."""
+    """Backbone + M mixed-operation heads driven by an ArchParams reference.
+
+    ``parameters()`` lists the stacked edge weights, which a continuous pass
+    differentiates. A sampled pass differentiates the edges' blocks of them
+    instead, so train it on ``sampled_parameters()``.
+    """
 
     def __init__(self, rng, spec: ModelSpec, arch: ArchParams, num_classes, k=1):
         super().__init__()
@@ -350,7 +373,7 @@ class Supernet(nn.Module):
         self.heads = nn.ModuleList(
             [
                 _HeadStack(rng, spec, [arch.head_ops[h]] * spec.num_edges,
-                           num_classes, k)
+                           num_classes, k, stacked=True)
                 for h in range(spec.num_heads)
             ]
         )
@@ -394,6 +417,15 @@ class Supernet(nn.Module):
         return out
 
     __call__ = forward
+
+    def sampled_parameters(self):
+        """The leaves that a recorded sampled pass differentiates:
+        ``parameters()`` with each stacked conv weight replaced by its
+        per-edge blocks (``nn.Conv2d.stack``). An optimizer over them steps
+        only the blocks that a genotype read, as it would step per-edge
+        weights."""
+        return [p for _, m in self.modules()
+                for p in getattr(m, "weight_blocks", None) or m._params.values()]
 
     def predict(self, images, genotypes, batch=256):
         """Stacked per-head probabilities [G, M, N, C] of the discrete pass

@@ -534,6 +534,51 @@ def channel_shuffle(x, groups):
     return _record(fwd(x.data).copy(), [x], lambda g: (inv(g).copy(),), "shuffle")
 
 
+def partial_join(y, start, x, groups, stride):
+    """A partial-channel edge's output in one op: ``channel_shuffle`` in
+    ``groups`` groups of the op path, channels [start, start + C/groups) of
+    ``y``, followed by the bypass, channels [C/groups, C) of the [N,C,H,W]
+    edge input ``x``, subsampled as by ``subsample2`` at ``stride`` 2.
+
+    The numbers, and the gradients (copies into zeros), are those of
+    ``channel_shuffle(concat([narrow(y), bypass]), groups)``.
+    """
+    y, x = as_tensor(y), as_tensor(x)
+    if x.ndim != 4 or groups < 2 or x.shape[1] % groups:
+        raise ShapeError(f"partial_join: input of shape {x.shape} in {groups} groups")
+    n, c = x.shape[:2]
+    c1 = c // groups
+    sub = (slice(None), slice(c1, None))
+    if stride == 2:
+        sub += (slice(None, None, 2), slice(None, None, 2))
+    bypass = x.data[sub]
+    oh, ow = bypass.shape[2:]
+    if (y.ndim != 4 or y.shape[0] != n or y.shape[2:] != (oh, ow)
+            or not 0 <= start <= y.shape[1] - c1):
+        raise ShapeError(
+            f"partial_join: channels [{start},{start + c1}) of shape {y.shape} "
+            f"do not fit a bypass of shape {bypass.shape}"
+        )
+    # output channel q * groups + g: op-path channel q when g = 0, else
+    # bypass channel (g - 1) * c1 + q
+    out = np.empty((n, c1, groups, oh, ow))
+    out[:, :, 0] = y.data[:, start : start + c1]
+    out[:, :, 1:] = bypass.reshape(n, groups - 1, c1, oh, ow).swapaxes(1, 2)
+
+    def fn(g):
+        g = g.reshape(n, c1, groups, oh, ow)
+        gy = gx = None
+        if y.requires_grad:
+            gy = np.zeros_like(y.data)
+            gy[:, start : start + c1] = g[:, :, 0]
+        if x.requires_grad:
+            gx = np.zeros_like(x.data)
+            gx[sub] = g[:, :, 1:].swapaxes(1, 2).reshape(n, c - c1, oh, ow)
+        return gy, gx
+
+    return _record(out.reshape(n, c, oh, ow), [y, x], fn, "partial_join")
+
+
 def subsample2(x):
     """Spatial stride-2 subsample of an [N,C,H,W] tensor (parameter-free)."""
     x = as_tensor(x)

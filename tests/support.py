@@ -5,12 +5,15 @@ import re
 
 import numpy as np
 
-from mhnes import tensor as T
+from mhnes import nn, tensor as T
 from mhnes.convops import conv2d
+from mhnes.supernet import Backbone, Supernet, _HeadStack
 
 
-# supernet key of one edge op: (prefix, head, edge, op index, rest)
-_EDGE_OP_KEY = re.compile(r"(heads\.(\d+)\.cells\.\d+\.edges\.(\d+)\.ops\.)(\d+)(\..*)")
+# supernet key of one stack: (prefix, head, read state, op index, rest)
+_STACK_KEY = re.compile(r"(heads\.(\d+)\.cells\.\d+\.)stacks\.(\d+)\.(\d+)(\..*)")
+# per-edge key of one edge op: (prefix, edge, op index, rest)
+_EDGE_OP_KEY = re.compile(r"(heads\.\d+\.cells\.\d+\.)edges\.(\d+)\.ops\.(\d+)(\..*)")
 
 
 def supernet_as_discrete_arrays(sup, net):
@@ -18,11 +21,13 @@ def supernet_as_discrete_arrays(sup, net):
     taken from the matching supernet parameter.
 
     Both networks are built from the same head module, so every key lines
-    up except edge ops: the chosen op ``o`` of edge ``e`` is
-    ``edges.e.ops.o`` in the supernet and ``edges.e.ops.0`` in the discrete
-    network, and ops that were not chosen are dropped (k=1 supernet). The
-    supernet tracks no running statistics, so ``net`` keeps its own; in
-    training mode its norms use batch statistics, as the supernet's do.
+    up except edge ops. The supernet stores op ``o`` of the edges that read
+    state ``i`` as ``stacks.i.o``, one block per edge in
+    ``spec.state_readers(i)`` order; the chosen op of edge ``e`` is
+    ``edges.e.ops.0`` in the discrete network, and ops that were not chosen
+    are dropped (k=1 supernet). The supernet tracks no running statistics,
+    so ``net`` keeps its own; in training mode its norms use batch
+    statistics, as the supernet's do.
     """
     geno = net.genotype
     spec = geno.spec
@@ -34,12 +39,60 @@ def supernet_as_discrete_arrays(sup, net):
                 chosen.add((h, start + src, spec.ops.index(op_name)))
     arrays = dict(net.state_arrays())
     for key, value in sup.state_arrays().items():
-        m = _EDGE_OP_KEY.fullmatch(key)
+        m = _STACK_KEY.fullmatch(key)
         if m is None:
             arrays[key] = value
-        elif (int(m[2]), int(m[3]), int(m[4])) in chosen:
-            arrays[m[1] + "0" + m[5]] = value
+            continue
+        rows = spec.state_readers(int(m[3]))
+        for e, block in zip(rows, np.split(value, len(rows))):
+            if (int(m[2]), e, int(m[4])) in chosen:
+                arrays[f"{m[1]}edges.{e}.ops.0{m[5]}"] = block
     return arrays
+
+
+def named_parameters(net):
+    """Name -> parameter tensor, named as ``state_arrays`` names them."""
+    return {prefix + name: p for prefix, m in net.modules()
+            for name, p in m._params.items()}
+
+
+def as_stacked(spec, arrays):
+    """``arrays``, named in a per-edge supernet layout
+    (``per_edge_supernet``), renamed and concatenated into ``Supernet``'s
+    stacked layout: ``stacks.i.o`` joins op ``o`` of the edges
+    ``spec.state_readers(i)``, in that order."""
+    out, blocks = {}, {}
+    for key, value in arrays.items():
+        m = _EDGE_OP_KEY.fullmatch(key)
+        if m is None:
+            out[key] = value
+            continue
+        edge = int(m[2])
+        i = next(i for i in range(spec.nodes + 1) if edge in spec.state_readers(i))
+        block = spec.state_readers(i).index(edge)
+        blocks.setdefault(f"{m[1]}stacks.{i}.{m[3]}{m[4]}", {})[block] = value
+    for key, parts in blocks.items():
+        out[key] = np.concatenate([parts[b] for b in range(len(parts))])
+    return out
+
+
+def per_edge_supernet(seed, spec, arch, num_classes, k):
+    """``Supernet(default_rng(seed), spec, arch, num_classes, k)`` with each
+    edge owning its weights, as a ``DiscreteNetwork``'s edges do.
+
+    The weights are drawn here in their construction order (backbone, then
+    per head and cell the two preprocessing convs, each edge's ops and, per
+    head, the classifier), so ``as_stacked`` of its state arrays must equal
+    the supernet's bit for bit.
+    """
+    net = Supernet(np.random.default_rng(seed), spec, arch, num_classes, k)
+    rng = np.random.default_rng(seed)
+    Backbone(rng, spec)  # the supernet's backbone draws
+    net.heads = nn.ModuleList([
+        _HeadStack(rng, spec, [ops] * spec.num_edges, num_classes, k)
+        for ops in arch.head_ops
+    ])
+    return net
 
 
 def random_prob_rows(rng, n, c, scale=1.0):
@@ -138,7 +191,8 @@ def per_edge_mixture(cell, x, table, betas=None):
 
     ``MixedCell`` stacks the edges that read one state instead; its outputs
     and, at partial-channel factor K > 1, its gradients must equal these
-    bit for bit.
+    bit for bit. ``cell`` comes from ``per_edge_supernet``, whose edges own
+    their weights.
     """
     spec = cell.spec
     states = [cell.pre[0](x), cell.pre[1](x)]

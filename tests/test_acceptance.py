@@ -153,6 +153,20 @@ def test_gradient_suite():
         ),
         [Tensor(rng.normal(size=(1, 4, 4, 4)))],
     ))
+    # partial_join of 2k channels: op-path block [start, start + 2) of y, one
+    # channel of y after it, and the bypass of x's other channels; at stride
+    # 2 a 5x5 input gives a 3x3 bypass
+    for k, stride, start in ((2, 1, 2), (2, 2, 0), (4, 1, 0), (4, 2, 3)):
+        def join_case(rng, k=k, stride=stride, start=start):
+            h = 5 if stride == 2 else 3
+            return (
+                masked(lambda y, x: T.partial_join(y, start, x, k, stride),
+                       mask(rng, (2, 2 * k, 3, 3))),
+                [Tensor(rng.normal(size=(2, start + 3, 3, 3))),
+                 Tensor(rng.normal(size=(2, 2 * k, h, h)))],
+            )
+
+        check(f"partial_join_k{k}_stride{stride}_start{start}", join_case)
     check("subsample2", lambda rng: (
         masked(T.subsample2, mask(rng, (1, 3, 3, 3))),
         [Tensor(rng.normal(size=(1, 3, 5, 5)))],
@@ -234,7 +248,7 @@ def test_one_hot_consistency():
         alpha = np.full(len(spec_ops), -40.0)
         alpha[selected] = 40.0
         w = T.softmax(Tensor(alpha)).data
-        mixed = mix_edges([edge], x, Tensor(w[None]), [0]).data
+        mixed = mix_edges(edge.ops, x, 8, Tensor(w[None]), [0]).data
         direct = edge.ops[selected](Tensor(x.data.copy())).data
         assert np.abs(mixed - direct).max() < 1e-8
 

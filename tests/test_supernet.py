@@ -2,10 +2,17 @@
 
 import numpy as np
 import pytest
-from support import per_edge_mixture, supernet_as_discrete_arrays
+from support import (
+    as_stacked,
+    named_parameters,
+    per_edge_mixture,
+    per_edge_supernet,
+    supernet_as_discrete_arrays,
+)
 
-from mhnes import convops, losses, nn, space, tensor as T
+from mhnes import convops, losses, nn, search, space, tensor as T
 from mhnes.dirichlet import sample_simplex_rows
+from mhnes.optim import SGD
 from mhnes.space import (
     ModelSpec,
     MultiHeadGenotype,
@@ -34,9 +41,10 @@ def copy_matching_params(src_mod, dst_mod):
 
 
 def mixed(edge, x, w):
-    """The output of ``edge`` mixed by weights ``w``: a stack of one edge."""
+    """The output of ``edge`` mixed by weights ``w``: a stack of one edge,
+    whose ops are their own stacks."""
     table = Tensor(np.reshape(w, (1, -1)))
-    return edge.join(mix_edges([edge], x, table, [0]), x)
+    return edge.join(mix_edges(edge.ops, x, edge.c // edge.k, table, [0]), x)
 
 
 class TestMixedEdge:
@@ -210,17 +218,22 @@ STACK_SPEC = ModelSpec(
 
 class TestStackedMixture:
     """The stacked mixture of ``MixedCell`` against the per-edge reference
-    loop, ``support.per_edge_mixture``, on one continuous forward and
-    backward: head probabilities, every weight gradient and every
-    architecture gradient."""
+    loop, ``support.per_edge_mixture``, on a network whose edges own their
+    weights (``support.per_edge_supernet``), on one continuous forward and
+    backward: head probabilities, every weight gradient (the reference's
+    per-edge gradients concatenated into the stacked layout) and every
+    architecture gradient. The stacked weights must equal the reference's
+    per-edge draws."""
 
     def _run(self, spec, mode, k, head_ops=None, reference=False, monkeypatch=None):
         arch = ArchParams(spec, mode, np.random.default_rng(30), head_ops=head_ops)
         rng = np.random.default_rng(31)
         for t in arch.tensors():  # away from the uniform start
             t.data[...] = np.abs(t.data + rng.normal(0.0, 0.5, t.shape)) + 0.1
-        net = Supernet(np.random.default_rng(32), spec, arch, 3, k=k)
-        if reference:
+        if not reference:
+            net = Supernet(np.random.default_rng(32), spec, arch, 3, k=k)
+        else:
+            net = per_edge_supernet(32, spec, arch, 3, k)
             run_cell = MixedCell.__call__
 
             def per_edge(self, x, table=None, betas=None, cell_genotype=None,
@@ -237,9 +250,13 @@ class TestStackedMixture:
             probs = net(Tensor(x), rng=np.random.default_rng(34))
             loss = losses.ensemble_train_loss(probs, losses.ensemble_average(probs), y)
             backward(loss)
-        grads = [t.grad for t in net.parameters() + arch.tensors()]
-        assert all(g is not None for g in grads)
-        return [p.data for p in probs], grads
+        grads = {name: p.grad for name, p in named_parameters(net).items()}
+        weights = net.state_arrays()
+        if reference:
+            grads, weights = as_stacked(spec, grads), as_stacked(spec, weights)
+        grads.update((f"arch.{i}", t.grad) for i, t in enumerate(arch.tensors()))
+        assert all(g is not None for g in grads.values())
+        return [p.data for p in probs], weights, grads
 
     @pytest.mark.parametrize("spec, mode, k, head_ops", [
         (STACK_SPEC, "drnas", 4, None),
@@ -253,13 +270,18 @@ class TestStackedMixture:
     ], ids=["drnas-k4", "drnas-k2", "pcdarts-k2-betas", "reduction-cell-only",
             "pruned-head-ops", "planted-ops"])
     def test_equals_per_edge_loop_bitwise(self, monkeypatch, spec, mode, k, head_ops):
-        probs, grads = self._run(spec, mode, k, head_ops)
-        ref_probs, ref_grads = self._run(spec, mode, k, head_ops, True, monkeypatch)
+        probs, weights, grads = self._run(spec, mode, k, head_ops)
+        ref_probs, ref_weights, ref_grads = self._run(
+            spec, mode, k, head_ops, True, monkeypatch
+        )
+        assert weights.keys() == ref_weights.keys()
+        for name, a in weights.items():
+            assert a.tobytes() == ref_weights[name].tobytes(), name
         for a, b in zip(probs, ref_probs):
             np.testing.assert_array_equal(a, b)
-        assert len(grads) == len(ref_grads)
-        for a, b in zip(grads, ref_grads):
-            np.testing.assert_array_equal(a, b)
+        assert grads.keys() == ref_grads.keys()
+        for name, a in grads.items():
+            np.testing.assert_array_equal(a, ref_grads[name], err_msg=name)
 
     def test_one_conv_call_per_layer_per_read_state(self, monkeypatch):
         spec = ModelSpec()
@@ -280,6 +302,49 @@ class TestStackedMixture:
         # blocks of 3 convs. One call per edge would make 9 * 170 + 7 = 1537.
         assert (spec.num_heads, spec.cells_per_head, spec.nodes) == (3, 3, 4)
         assert len(calls) == 9 * (2 + 5 * 12) + 7 == 565
+
+    def test_weights_are_stored_stacked(self, monkeypatch):
+        spec = ModelSpec()
+        joins = []
+        run_concat = T.concat
+
+        def count(tensors, axis):
+            joins.append(len(tensors))
+            return run_concat(tensors, axis)
+
+        monkeypatch.setattr(T, "concat", count)
+        arch = ArchParams(spec, "drnas", np.random.default_rng(0))
+        net = Supernet(np.random.default_rng(1), spec, arch, 3, k=4)
+        # per cell: 2 preprocessing convs and the 12 conv layers of the ops
+        # for each of the 5 read states; the backbone adds 7 convs and each
+        # head a classifier of 2 arrays. One array per edge and layer made
+        # 9 * (2 + 14 * 12) + 7 + 6 = 1543.
+        assert len(net.parameters()) == 9 * (2 + 5 * 12) + 7 + 6 == 571
+        net(Tensor(np.random.default_rng(2).normal(size=(2, 1, 16, 16))))
+        # no weight concatenation and no partial-channel concat: only each
+        # cell's output joins its node states
+        assert joins == [spec.nodes] * 9
+
+    def test_sampled_training_steps_only_the_blocks_read(self):
+        # The per-edge supernet trains on its own arrays, which SGD skips for
+        # the edges a genotype did not read; the stacked one must match it.
+        arch = ArchParams(STACK_SPEC, "plain", np.random.default_rng(30))
+        nets = [Supernet(np.random.default_rng(32), STACK_SPEC, arch, 3, k=1),
+                per_edge_supernet(32, STACK_SPEC, arch, 3, 1)]
+        params = [nets[0].sampled_parameters(), nets[1].parameters()]
+        assert len(params[0]) == len(params[1])
+        opts = [SGD(p, lr=0.1, momentum=0.9, weight_decay=3e-4) for p in params]
+        data = np.random.default_rng(33)
+        for _ in range(3):
+            geno = sample_random_genotype(STACK_SPEC, data)
+            x, y = data.normal(size=(4, 1, 16, 16)), data.integers(0, 3, size=4)
+            for net, opt in zip(nets, opts):
+                search._train_step(net, opt, losses.ensemble_train_loss, x, y,
+                                   mode="sampled", genotype=geno)
+        got, want = nets[0].state_arrays(), as_stacked(STACK_SPEC, nets[1].state_arrays())
+        assert got.keys() == want.keys()
+        for name, a in got.items():
+            assert a.tobytes() == want[name].tobytes(), name
 
     def test_stacked_ops_run_the_classes_own_forwards(self, monkeypatch):
         # Counted as the benchmark tracer counts layers: by wrapping
@@ -320,12 +385,14 @@ class TestStackedMixture:
         # The last-bit differences are relative to the summands, so an entry
         # formed by cancellation can differ by more than 1e-12 of itself; the
         # absolute part scales 1e-12 by the array's largest entry.
-        probs, grads = self._run(STACK_SPEC, "drnas", 1)
-        ref_probs, ref_grads = self._run(STACK_SPEC, "drnas", 1, None, True, monkeypatch)
+        probs, _, grads = self._run(STACK_SPEC, "drnas", 1)
+        ref_probs, _, ref_grads = self._run(STACK_SPEC, "drnas", 1, None, True, monkeypatch)
         for a, b in zip(probs, ref_probs):
             np.testing.assert_array_equal(a, b)
-        assert any(not np.array_equal(a, b) for a, b in zip(grads, ref_grads))
-        for a, b in zip(grads, ref_grads):
+        assert grads.keys() == ref_grads.keys()
+        assert any(not np.array_equal(a, ref_grads[n]) for n, a in grads.items())
+        for name, a in grads.items():
+            b = ref_grads[name]
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
 
 

@@ -182,6 +182,43 @@ class TestReductionsAndShapes:
             [x],
         ) < 1e-7
 
+    @pytest.mark.parametrize("groups, stride, start", [
+        (2, 1, 2), (2, 2, 0), (4, 1, 0), (4, 2, 4),
+    ])
+    def test_partial_join_equals_narrow_concat_shuffle_bitwise(
+            self, groups, stride, start):
+        rng = np.random.default_rng(12)
+        h = 5 if stride == 2 else 3
+        x = Tensor(rng.normal(size=(2, 8, h, h)), requires_grad=True)
+        y = Tensor(rng.normal(size=(2, 8 // groups + start + 2, 3, 3)),
+                   requires_grad=True)
+        g = rng.normal(size=(2, 8, 3, 3))
+
+        def chained(y, x):
+            c1 = 8 // groups
+            bypass = T.narrow(x, 1, c1, 8 - c1)
+            if stride == 2:
+                bypass = T.subsample2(bypass)
+            return T.channel_shuffle(T.concat([T.narrow(y, 1, start, c1), bypass], 1),
+                                     groups)
+
+        results = []
+        for join in (lambda y, x: T.partial_join(y, start, x, groups, stride), chained):
+            x.grad = y.grad = None
+            with Tape():
+                out = join(y, x)
+                backward(T.mul(out, Tensor(g)).sum())
+            results.append((out.data, y.grad, x.grad))
+        for got, want in zip(*results):
+            assert got.tobytes() == want.tobytes()
+
+    def test_partial_join_rejects_a_block_outside_y(self):
+        x = Tensor(np.zeros((1, 4, 3, 3)))
+        with pytest.raises(ShapeError, match="partial_join"):
+            T.partial_join(Tensor(np.zeros((1, 4, 3, 3))), 3, x, 2, 1)
+        with pytest.raises(ShapeError, match="partial_join"):
+            T.partial_join(Tensor(np.zeros((1, 2, 3, 3))), 0, x, 2, 2)
+
     def test_subsample2(self):
         x = Tensor(np.arange(32.0).reshape(1, 2, 4, 4))
         y = T.subsample2(x)
@@ -306,6 +343,8 @@ def _frozen_input_cases():
                      [arr(2, 3), arr(2, 3), arr(2)], id="weighted_sum"),
         pytest.param(lambda a, b, t: T.edge_mix([a, b], t, [2, 0]),
                      [arr(2, 4, 1, 1), arr(2, 4, 1, 1), arr(3, 2)], id="edge_mix"),
+        pytest.param(lambda y, x: T.partial_join(y, 2, x, 2, 2),
+                     [arr(2, 6, 2, 2), arr(2, 4, 3, 3)], id="partial_join"),
     ]
 
 
